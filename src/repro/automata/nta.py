@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import (
     AbstractSet,
+    Any,
     Dict,
     FrozenSet,
     Hashable,
@@ -433,17 +434,38 @@ def _restrict_alphabet(nfa: NFA, allowed: AbstractSet[State]) -> NFA:
 
 
 def intersect_nta(left: NTA, right: NTA) -> NTA:
-    """Product NTA for ``L(left) ∩ L(right)`` (polynomial)."""
+    """Product NTA for ``L(left) ∩ L(right)`` (polynomial).
+
+    Horizontal automata that are :meth:`~repro.strings.nfa.NFA.with_finals`
+    siblings (the inverse types of :mod:`repro.core.typecheck` are
+    built that way) pair to one shared product structure: it is
+    explored once per (left structure, right structure) and each entry
+    only picks its final states.
+    """
     alphabet = left.alphabet | right.alphabet
     states = set(itertools.product(left.states, right.states))
     delta: Dict[Tuple[State, str], NFA] = {}
+    # Both memos are keyed on horizontals the two NTAs keep alive for
+    # the whole call, never on temporary epsilon-free forms.
+    right_free: Dict[NFA, NFA] = {}
+    paired: Dict[Tuple[Hashable, Hashable], NFA] = {}
     for (l_state, symbol), l_horizontal in left.delta.items():
+        l_free = l_horizontal.without_epsilon()
+        l_key = l_horizontal.structure_key()
         for r_state in right.states:
             r_horizontal = right.delta.get((r_state, symbol))
             if r_horizontal is None:
                 continue
-            paired = _pair_horizontal(l_horizontal, r_horizontal)
-            delta[((l_state, r_state), symbol)] = paired
+            r_free = right_free.get(r_horizontal)
+            if r_free is None:
+                r_free = right_free[r_horizontal] = r_horizontal.without_epsilon()
+            key = (l_key, r_horizontal.structure_key())
+            shared = paired.get(key)
+            if shared is None:
+                entry = paired[key] = _pair_horizontal(l_free, r_free)
+            else:
+                entry = shared.with_finals(_pair_finals(shared.states, l_free, r_free))
+            delta[((l_state, r_state), symbol)] = entry
     if obs.enabled():
         obs.add("nta.intersections")
         obs.add("nta.intersection_states", len(states))
@@ -451,11 +473,9 @@ def intersect_nta(left: NTA, right: NTA) -> NTA:
 
 
 def _pair_horizontal(left: NFA, right: NFA) -> NFA:
-    """Product of horizontal NFAs reading *pairs* of states: the word
-    ``(l1,r1)...(ln,rn)`` is accepted iff ``l1..ln`` in L(left) and
-    ``r1..rn`` in L(right)."""
-    left = left.without_epsilon()
-    right = right.without_epsilon()
+    """Product of epsilon-free horizontal NFAs reading *pairs* of
+    states: the word ``(l1,r1)...(ln,rn)`` is accepted iff ``l1..ln``
+    in L(left) and ``r1..rn`` in L(right)."""
     initial = (left.initial, right.initial)
     states = {initial}
     transitions: List[Tuple[State, State, State]] = []
@@ -472,9 +492,14 @@ def _pair_horizontal(left: NFA, right: NFA) -> NFA:
                         if pair not in states:
                             states.add(pair)
                             stack.append(pair)
-    finals = {(l, r) for (l, r) in states if l in left.finals and r in right.finals}
     alphabet = set(itertools.product(left.alphabet, right.alphabet))
-    return NFA(states, alphabet, transitions, initial, finals)
+    return NFA(states, alphabet, transitions, initial, _pair_finals(states, left, right))
+
+
+def _pair_finals(states: Iterable[Any], left: NFA, right: NFA) -> Set[Tuple[State, State]]:
+    """The ``(l, r)`` pair states with ``l`` final in ``left`` and ``r``
+    final in ``right``."""
+    return {(l, r) for (l, r) in states if l in left.finals and r in right.finals}
 
 
 def union_nta(left: NTA, right: NTA) -> NTA:

@@ -33,6 +33,7 @@ typechecking is the emptiness of its complement intersected with
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
@@ -59,18 +60,16 @@ __all__ = [
 _EMPTY = "()"
 _MANY = "(many)"
 
-#: Preprocessed output types, keyed by DTD identity (DTDs are
-#: immutable once constructed; preprocessing determinizes every content
-#: model, which is worth reusing across per-tree checks).
-_OUTPUT_TYPE_CACHE: Dict[int, "_OutputType"] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _output_type(dtd: DTD) -> "_OutputType":
-    cached = _OUTPUT_TYPE_CACHE.get(id(dtd))
-    if cached is None or cached.dtd is not dtd:
-        cached = _OutputType(dtd)
-        _OUTPUT_TYPE_CACHE[id(dtd)] = cached
-    return cached
+    """Preprocessed output types of the most recently used DTDs.
+
+    DTDs hash by identity and are immutable once constructed;
+    preprocessing determinizes every content model, which is worth
+    reusing across per-tree checks.  The bound keeps a long-lived
+    process that sees many output DTDs from holding all of them.
+    """
+    return _OutputType(dtd)
 
 
 #: Placeholder consumed by content DFAs for output labels the DTD does
@@ -103,17 +102,15 @@ class _OutputType:
             ordered = sorted(dfa.states, key=repr)
             self.states_of[label] = ordered
             self.state_index[label] = {state: i for i, state in enumerate(ordered)}
-
-    def identity_maps(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(
+        self.position: Dict[str, int] = {label: i for i, label in enumerate(self.labels)}
+        self.identity: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(range(len(self.states_of[label]))) for label in self.labels
         )
+        self._steps: Dict[str, Tuple[Tuple[int, ...], ...]] = {
+            symbol: self._step_maps(symbol) for symbol in alphabet
+        }
 
-    def step_maps(self, symbol: str) -> Tuple[Tuple[int, ...], ...]:
-        """The per-DFA transition functions of a single symbol (labels
-        outside the DTD behave like the reject placeholder)."""
-        if symbol != TEXT and symbol not in self.dtd.alphabet:
-            symbol = _UNKNOWN
+    def _step_maps(self, symbol: str) -> Tuple[Tuple[int, ...], ...]:
         maps: List[Tuple[int, ...]] = []
         for label in self.labels:
             dfa = self.dfas[label]
@@ -123,13 +120,18 @@ class _OutputType:
             )
         return tuple(maps)
 
+    def step_maps(self, symbol: str) -> Tuple[Tuple[int, ...], ...]:
+        """The per-DFA transition functions of a single symbol (labels
+        outside the DTD behave like the reject placeholder)."""
+        maps = self._steps.get(symbol)
+        return self._steps[_UNKNOWN] if maps is None else maps
+
     def accepts_word_maps(self, label: str, maps: Tuple[Tuple[int, ...], ...]) -> bool:
         """Whether the word inducing ``maps`` is in ``d(label)``."""
-        position = self.labels.index(label)
         dfa = self.dfas[label]
         index = self.state_index[label]
         ordered = self.states_of[label]
-        reached = ordered[maps[position][index[dfa.initial]]]
+        reached = ordered[maps[self.position[label]][index[dfa.initial]]]
         return reached in dfa.finals
 
 
@@ -138,7 +140,7 @@ Summary = Tuple[Tuple[Tuple[int, ...], ...], str, bool]
 
 
 def _unit(out: _OutputType) -> Summary:
-    return (out.identity_maps(), _EMPTY, True)
+    return (out.identity, _EMPTY, True)
 
 
 def _compose_maps(
@@ -146,7 +148,7 @@ def _compose_maps(
 ) -> Tuple[Tuple[int, ...], ...]:
     # Reading `first` then `second`: apply first, then second.
     return tuple(
-        tuple(second_map[value] for value in first_map)
+        tuple(map(second_map.__getitem__, first_map))
         for first_map, second_map in zip(first, second)
     )
 

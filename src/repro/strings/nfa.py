@@ -53,9 +53,12 @@ class NFA:
         The initial state (the paper's NFAs have a single one).
     finals:
         Iterable of accepting states.
+
+    ``has_epsilon`` records whether any transition is an epsilon move;
+    it is fixed at construction, like the transition map itself.
     """
 
-    __slots__ = ("states", "alphabet", "initial", "finals", "_delta")
+    __slots__ = ("states", "alphabet", "initial", "finals", "has_epsilon", "_delta")
 
     def __init__(
         self,
@@ -70,11 +73,15 @@ class NFA:
         self.finals: FrozenSet[State] = frozenset(finals)
         alpha: Set[Symbol] = set(alphabet)
         delta: Dict[State, Dict[Symbol, Set[State]]] = {}
+        has_epsilon = False
         for source, symbol, target in transitions:
             delta.setdefault(source, {}).setdefault(symbol, set()).add(target)
-            if symbol is not EPSILON:
+            if symbol is EPSILON:
+                has_epsilon = True
+            else:
                 alpha.add(symbol)
         self.alphabet: FrozenSet[Symbol] = frozenset(alpha)
+        self.has_epsilon: bool = has_epsilon
         self._delta = delta
         if self.initial not in self.states:
             raise ValueError("initial state %r not among states" % (self.initial,))
@@ -113,10 +120,16 @@ class NFA:
         """The paper's ``|A|``: number of states plus transitions."""
         return len(self.states) + sum(1 for _ in self.transitions())
 
-    @property
-    def has_epsilon(self) -> bool:
-        """Whether any epsilon move is present."""
-        return any(symbol is EPSILON for _, symbol, _ in self.transitions())
+    def structure_key(self) -> Tuple[int, State]:
+        """A key equal for the automata that share this one's transition
+        map and initial state: its :meth:`with_finals` siblings, which
+        differ from it at most in their final states.
+
+        The key holds the identity of the shared transition map, so it
+        means something only while an automaton holding that map stays
+        alive; key on automata kept referenced, never on temporaries.
+        """
+        return (id(self._delta), self.initial)
 
     def __repr__(self) -> str:
         return "NFA(states=%d, transitions=%d, alphabet=%d)" % (
@@ -294,6 +307,7 @@ class NFA:
         clone.alphabet = self.alphabet
         clone.initial = self.initial
         clone.finals = finals
+        clone.has_epsilon = self.has_epsilon
         clone._delta = self._delta
         return clone
 
@@ -311,6 +325,7 @@ class NFA:
         clone.alphabet = self.alphabet
         clone.initial = initial
         clone.finals = self.finals
+        clone.has_epsilon = self.has_epsilon
         clone._delta = self._delta
         return clone
 
@@ -440,7 +455,13 @@ def product_nfa(left: NFA, right: NFA) -> NFA:
 
 
 def union_nfa(left: NFA, right: NFA) -> NFA:
-    """Union of two NFAs (fresh initial state, epsilon branches)."""
+    """Union of two NFAs (fresh initial state, epsilon branches).
+
+    Two :meth:`NFA.with_finals` siblings need no renaming: their union
+    is the shared structure with both final sets, built in O(finals).
+    """
+    if left.structure_key() == right.structure_key():
+        return left.with_finals(left.finals | right.finals)
     left = left.rename_states("L")
     right = right.rename_states("R")
     fresh = ("U", 0)

@@ -4,11 +4,13 @@ Every static verdict is cross-validated against brute force: run the
 transducer on enumerated inputs and validate the output directly.
 """
 
+import pytest
 
-from repro.automata import TEXT, nta_from_rules
+from repro.automata import TEXT, intersect_nta, nta_from_rules
 from repro.automata.enumerate import enumerate_trees
 from repro.core import TopDownTransducer
 from repro.core.typecheck import (
+    _output_type,
     hedge_summary,
     inverse_type_nta,
     output_valid,
@@ -158,3 +160,68 @@ class TestStaticTypechecking:
         for t in enumerate_trees(RECIPES, 9, max_count=60):
             assert bad.accepts(t) != good.accepts(t), t
             assert good.accepts(t) == brute_valid(transducer, out, t), t
+
+
+class TestOutputTypeCache:
+    def test_cache_stays_bounded_and_a_reused_dtd_hits(self):
+        transducer = TopDownTransducer(
+            states={"q0"}, rules={("q0", "a"): "ok"}, initial="q0"
+        )
+        schema = nta_from_rules(alphabet={"a"}, rules={("q0", "a"): "eps"}, initial="q0")
+
+        def ok_dtd():
+            return DTD(content={"ok": "eps"}, start={"ok"})
+
+        reused = ok_dtd()
+        assert typechecks(transducer, schema, reused)
+        bound = _output_type.cache_info().maxsize
+        for _ in range(3 * bound):
+            assert typechecks(transducer, schema, ok_dtd())
+            hits = _output_type.cache_info().hits
+            assert typechecks(transducer, schema, reused)
+            assert _output_type.cache_info().hits == hits + 1
+            assert _output_type.cache_info().currsize <= bound
+        assert _output_type.cache_info().currsize == bound
+
+
+@pytest.fixture(scope="module")
+def example42_bad():
+    return inverse_type_nta(
+        example42_transducer(), figure2_dtd(), RECIPES.alphabet, accept_valid=False
+    )
+
+
+class TestSharedHorizontalStructure:
+    """Object counts, not timings: every element horizontal of an
+    inverse type is a ``with_finals`` sibling of one structure, and the
+    kernel keeps it that way through the root union and the product."""
+
+    def test_root_horizontals_share_the_vector_structure(self, example42_bad):
+        shared = {
+            symbol: horizontal
+            for (state, symbol), horizontal in example42_bad.delta.items()
+            if state != ("root",) and symbol != TEXT
+        }
+        roots = [
+            (symbol, horizontal)
+            for (state, symbol), horizontal in example42_bad.delta.items()
+            if state == ("root",) and symbol != TEXT
+        ]
+        assert roots
+        for symbol, horizontal in roots:
+            # One per-vector structure (1,215 states here); a renaming
+            # union chain would reach about ten thousand.
+            assert horizontal.structure_key() == shared[symbol].structure_key()
+            assert len(horizontal.states) == len(shared[symbol].states)
+
+    def test_product_pairs_each_structure_once(self, example42_bad):
+        product = intersect_nta(example42_bad, RECIPES)
+        maps = {horizontal.structure_key() for horizontal in product.delta.values()}
+        pairs = {
+            (
+                example42_bad.delta[(left, symbol)].structure_key(),
+                id(RECIPES.delta[(right, symbol)]),
+            )
+            for (left, right), symbol in product.delta
+        }
+        assert len(maps) <= len(pairs) < len(product.delta)

@@ -4,8 +4,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.automata import TEXT, intersect_nta, nta_from_rules, union_nta
-from repro.strings import determinize, minimize, parse_regex
+from repro.automata import NTA, TEXT, intersect_nta, nta_from_rules, union_nta
+from repro.strings import NFA, determinize, minimize, parse_regex
 from repro.trees import Tree
 
 LABELS = ("a", "b")
@@ -109,3 +109,60 @@ class TestNtaBooleanProperties:
         if witness is not None:
             assert schema_one().accepts(witness)
             assert schema_two().accepts(witness)
+
+
+def shared_schema():
+    """An NTA whose element horizontals are ``with_finals`` siblings of
+    one transition map over its states, as inverse types are built."""
+    base = NFA(
+        {0, 1, 2},
+        {"s", "t", "u"},
+        [(0, "s", 1), (0, "t", 2), (1, "s", 1), (1, "u", 2), (2, "t", 0), (2, "u", 2)],
+        0,
+        (),
+    )
+    leaf = NFA({0}, (), (), 0, {0})
+    delta = {
+        ("s", "a"): base.with_finals({1}),
+        ("s", "b"): base.with_finals({2}),
+        ("t", "a"): base.with_finals({1, 2}),
+        ("t", "b"): base.with_finals({0}),
+        ("t", TEXT): leaf,
+        ("u", "a"): base.with_finals({0}),
+        ("u", TEXT): leaf,
+    }
+    return NTA({"s", "t", "u"}, set(LABELS), delta, "s")
+
+
+def unshared_copy(nta):
+    """The same NTA with every horizontal rebuilt on its own map."""
+    delta = {key: horizontal.map_symbols({}) for key, horizontal in nta.delta.items()}
+    return NTA(nta.states, nta.alphabet, delta, nta.initial)
+
+
+def shared_products():
+    """``(shared, unshared)`` intersections, the shared NTA on either side."""
+    shared, unshared = shared_schema(), unshared_copy(shared_schema())
+    for other in (schema_one(), schema_two()):
+        yield intersect_nta(shared, other), intersect_nta(unshared, other)
+        yield intersect_nta(other, shared), intersect_nta(other, unshared)
+
+
+class TestSharedStructureIntersection:
+    @given(t=trees_over_labels())
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    def test_shared_and_unshared_accept_the_same_trees(self, t):
+        for shared, unshared in shared_products():
+            assert shared.accepts(t) == unshared.accepts(t)
+        assert intersect_nta(shared_schema(), schema_one()).accepts(t) == (
+            shared_schema().accepts(t) and schema_one().accepts(t)
+        )
+
+    def test_same_witness_size_with_fewer_maps(self):
+        for shared, unshared in shared_products():
+            witness, reference = shared.witness(), unshared.witness()
+            assert witness is not None and reference is not None
+            assert witness.size == reference.size
+            assert shared.accepts(witness) and unshared.accepts(witness)
+            maps = {horizontal.structure_key() for horizontal in shared.delta.values()}
+            assert len(maps) < len(shared.delta)

@@ -1,5 +1,7 @@
 """Tests for the NFA substrate."""
 
+import itertools
+
 import pytest
 
 from repro.strings import (
@@ -76,6 +78,27 @@ class TestEpsilon:
         assert not stripped.has_epsilon
         for word in [(), ("a",), ("b",), ("a", "b"), ("b", "a")]:
             assert nfa.accepts(word) == stripped.accepts(word)
+
+    def test_has_epsilon_flag_matches_a_transition_scan(self):
+        def scanned(nfa):
+            return any(symbol is EPSILON for _s, symbol, _t in nfa.transitions())
+
+        plain = ab_star()
+        moving = NFA({0, 1}, {"a"}, [(0, EPSILON, 1), (1, "a", 1)], 0, {1})
+        cases = {
+            "init plain": plain,
+            "init epsilon": moving,
+            "with_finals plain": plain.with_finals({1}),
+            "with_finals epsilon": moving.with_finals({0}),
+            "with_initial plain": plain.with_initial(1),
+            "with_initial epsilon": moving.with_initial(1),
+            "without_epsilon": moving.without_epsilon(),
+            "reverse": plain.reverse(),
+            "reverse without finals": plain.with_finals(()).reverse(),
+        }
+        for name, nfa in cases.items():
+            assert nfa.has_epsilon == scanned(nfa), name
+        assert {nfa.has_epsilon for nfa in cases.values()} == {True, False}
 
 
 class TestEmptinessAndWitness:
@@ -173,6 +196,54 @@ class TestCombinators:
     def test_map_symbols(self):
         mapped = ab_star().map_symbols({"a": "x"})
         assert mapped.accepts(("x", "b"))
+
+
+def words_up_to(alphabet, length):
+    for n in range(length + 1):
+        yield from itertools.product(alphabet, repeat=n)
+
+
+class TestSharedStructure:
+    """``with_finals`` siblings share one transition map; ``union_nfa``
+    merges their final sets instead of renaming and copying."""
+
+    def base(self) -> NFA:
+        return NFA(
+            {0, 1, 2, 3},
+            {"a", "b"},
+            [(0, "a", 1), (1, "b", 0), (1, "a", 2), (2, "b", 2), (2, "a", 3), (3, "a", 0)],
+            0,
+            (),
+        )
+
+    def test_siblings_share_a_structure_key(self):
+        base = self.base()
+        assert base.with_finals({1}).structure_key() == base.structure_key()
+        assert base.with_initial(1).structure_key() != base.structure_key()
+        assert base.map_symbols({}).structure_key() != base.structure_key()
+
+    def test_union_of_siblings_matches_the_renamed_union(self):
+        base = self.base()
+        finals = [{1}, {0, 3}, {2}, set()]
+        shared = unshared = base.with_finals(finals[0])
+        for part in finals[1:]:
+            sibling = base.with_finals(part)
+            shared = union_nfa(shared, sibling)
+            # A rebuilt copy has its own map, so it takes the renaming path.
+            unshared = union_nfa(unshared, sibling.map_symbols({}))
+        assert shared.structure_key() == base.structure_key()
+        assert shared.states == base.states
+        assert len(unshared.states) > len(base.states)
+        for word in words_up_to("ab", 7):
+            assert shared.accepts(word) == unshared.accepts(word), word
+
+    def test_union_with_another_initial_state_renames(self):
+        base = self.base()
+        left, right = base.with_finals({2}), base.with_initial(2).with_finals({3})
+        union = union_nfa(left, right)
+        assert union.structure_key() != base.structure_key()
+        for word in words_up_to("ab", 6):
+            assert union.accepts(word) == (left.accepts(word) or right.accepts(word)), word
 
 
 class TestLanguageComparison:
