@@ -36,7 +36,7 @@ from typing import (
 )
 
 from .. import obs
-from ..strings.nfa import EPSILON, NFA, union_nfa
+from ..strings.nfa import EPSILON, NFA, pair_nfa, union_nfa
 from ..trees.tree import Tree
 
 __all__ = ["NTA", "TEXT", "Run", "intersect_nta", "union_nta"]
@@ -438,9 +438,10 @@ def intersect_nta(left: NTA, right: NTA) -> NTA:
 
     Horizontal automata that are :meth:`~repro.strings.nfa.NFA.with_finals`
     siblings (the inverse types of :mod:`repro.core.typecheck` are
-    built that way) pair to one shared product structure: it is
-    explored once per (left structure, right structure) and each entry
-    only picks its final states.
+    built that way) pair to one shared product structure: a
+    :func:`~repro.strings.nfa.pair_nfa` explored once per (left
+    structure, right structure), from which each entry only picks its
+    final states.
     """
     alphabet = left.alphabet | right.alphabet
     states = set(itertools.product(left.states, right.states))
@@ -462,7 +463,7 @@ def intersect_nta(left: NTA, right: NTA) -> NTA:
             key = (l_key, r_horizontal.structure_key())
             shared = paired.get(key)
             if shared is None:
-                entry = paired[key] = _pair_horizontal(l_free, r_free)
+                entry = paired[key] = pair_nfa(l_free, r_free)
             else:
                 entry = shared.with_finals(_pair_finals(shared.states, l_free, r_free))
             delta[((l_state, r_state), symbol)] = entry
@@ -470,30 +471,6 @@ def intersect_nta(left: NTA, right: NTA) -> NTA:
         obs.add("nta.intersections")
         obs.add("nta.intersection_states", len(states))
     return NTA(states, alphabet, delta, (left.initial, right.initial))
-
-
-def _pair_horizontal(left: NFA, right: NFA) -> NFA:
-    """Product of epsilon-free horizontal NFAs reading *pairs* of
-    states: the word ``(l1,r1)...(ln,rn)`` is accepted iff ``l1..ln``
-    in L(left) and ``r1..rn`` in L(right)."""
-    initial = (left.initial, right.initial)
-    states = {initial}
-    transitions: List[Tuple[State, State, State]] = []
-    stack = [initial]
-    while stack:
-        l_state, r_state = stack.pop()
-        for l_symbol in left.symbols_from(l_state):
-            for r_symbol in right.symbols_from(r_state):
-                pair_symbol = (l_symbol, r_symbol)
-                for l_target in left.step(l_state, l_symbol):
-                    for r_target in right.step(r_state, r_symbol):
-                        pair = (l_target, r_target)
-                        transitions.append(((l_state, r_state), pair_symbol, pair))
-                        if pair not in states:
-                            states.add(pair)
-                            stack.append(pair)
-    alphabet = set(itertools.product(left.alphabet, right.alphabet))
-    return NFA(states, alphabet, transitions, initial, _pair_finals(states, left, right))
 
 
 def _pair_finals(states: Iterable[Any], left: NFA, right: NFA) -> Set[Tuple[State, State]]:

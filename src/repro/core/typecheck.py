@@ -175,81 +175,158 @@ def _text_summary(out: _OutputType) -> Summary:
     return (out.step_maps(TEXT), TEXT, True)
 
 
+#: A vector or running product: one summary id per transducer state.
+_Ids = Tuple[int, ...]
+
+
 class _Evaluator:
-    """Computes transducer-state → summary vectors bottom-up."""
+    """Computes transducer-state → summary vectors bottom-up.
+
+    Summaries are interned: each distinct summary gets an integer id for
+    the life of the evaluator, vectors and running products are tuples
+    of ids, and concatenation and the single-tree step are memoized on
+    ids, so ``_concat`` and ``_single_tree`` run once per distinct
+    operand pair.  Callers decode ids at the boundary
+    (:meth:`initial_summary`, :meth:`decode`).
+    """
 
     def __init__(self, transducer: TopDownTransducer, out: _OutputType) -> None:
         self.transducer = transducer
         self.out = out
         self.states: Tuple[str, ...] = tuple(sorted(transducer.states))
-
-    def text_vector(self) -> Tuple[Summary, ...]:
-        return tuple(
-            _text_summary(self.out)
-            if state in self.transducer.text_states
-            else _unit(self.out)
+        self._position = {state: i for i, state in enumerate(self.states)}
+        self._summaries: List[Summary] = []
+        self._ids: Dict[Summary, int] = {}
+        self._concats: Dict[Tuple[int, int], int] = {}
+        self._trees: Dict[Tuple[str, int], int] = {}
+        self.unit = self._intern(_unit(out))
+        text = self._intern(_text_summary(out))
+        self.text_vector: _Ids = tuple(
+            text if state in transducer.text_states else self.unit
             for state in self.states
         )
 
-    def combine(
-        self, symbol: str, child_products: Dict[str, Summary]
-    ) -> Tuple[Summary, ...]:
+    def _intern(self, summary: Summary) -> int:
+        found = self._ids.get(summary)
+        if found is None:
+            found = self._ids[summary] = len(self._summaries)
+            self._summaries.append(summary)
+        return found
+
+    def decode(self, idents: _Ids) -> Tuple[Summary, ...]:
+        """The summaries of a vector or running product."""
+        return tuple(map(self._summaries.__getitem__, idents))
+
+    def concat(self, left: int, right: int) -> int:
+        key = (left, right)
+        found = self._concats.get(key)
+        if found is None:
+            summaries = self._summaries
+            found = self._concats[key] = self._intern(
+                _concat(self.out, summaries[left], summaries[right])
+            )
+        return found
+
+    def _single_tree(self, label: str, inner: int) -> int:
+        key = (label, inner)
+        found = self._trees.get(key)
+        if found is None:
+            found = self._trees[key] = self._intern(
+                _single_tree(self.out, label, self._summaries[inner])
+            )
+        return found
+
+    def combine(self, symbol: str, product: _Ids) -> _Ids:
         """The vector of a node labelled ``symbol`` whose children's
-        concatenated summaries (per transducer state) are
-        ``child_products``."""
-        vector: List[Summary] = []
+        concatenated summaries (one per transducer state) are
+        ``product``."""
+        vector: List[int] = []
         for state in self.states:
             rhs = self.transducer.rhs(state, symbol)
-            if rhs is None:
-                vector.append(_unit(self.out))
-            else:
-                vector.append(self._eval_rhs(rhs, child_products))
+            vector.append(self.unit if rhs is None else self._eval_rhs(rhs, product))
         return tuple(vector)
 
-    def _eval_rhs(self, items: Sequence[object], products: Dict[str, Summary]) -> Summary:
-        result = _unit(self.out)
+    def _eval_rhs(self, items: Sequence[object], product: _Ids) -> int:
+        result = self.unit
         for item in items:
             if isinstance(item, StateCall):
-                result = _concat(self.out, result, products[item.state])
+                result = self.concat(result, product[self._position[item.state]])
             else:
-                inner = self._eval_rhs(item.children, products)  # type: ignore[union-attr]
-                result = _concat(
-                    self.out, result, _single_tree(self.out, item.label, inner)
-                )
+                inner = self._eval_rhs(item.children, product)  # type: ignore[union-attr]
+                result = self.concat(result, self._single_tree(item.label, inner))  # type: ignore[union-attr]
         return result
 
-    def vector_of_tree(self, t: Tree) -> Tuple[Summary, ...]:
+    def vector_of_tree(self, t: Tree) -> _Ids:
         if t.is_text:
-            return self.text_vector()
-        products = {state: _unit(self.out) for state in self.states}
+            return self.text_vector
+        product = (self.unit,) * len(self.states)
         for child in t.children:
-            child_vector = self.vector_of_tree(child)
-            for index, state in enumerate(self.states):
-                products[state] = _concat(self.out, products[state], child_vector[index])
-        return self.combine(t.label, products)
+            product = tuple(map(self.concat, product, self.vector_of_tree(child)))
+        return self.combine(t.label, product)
 
-    def root_ok(self, vector: Tuple[Summary, ...]) -> bool:
+    def initial_summary(self, vector: _Ids) -> Summary:
+        """The summary of the transducer's initial state in ``vector``."""
+        return self._summaries[vector[self._position[self.transducer.initial]]]
+
+    def root_ok(self, vector: _Ids) -> bool:
         """Whether a root with this vector produces a valid output tree."""
-        q0 = self.states.index(self.transducer.initial)
-        _maps, abstraction, ok = vector[q0]
+        _maps, abstraction, ok = self.initial_summary(vector)
         return ok and abstraction in self.out.dtd.start
+
+
+class _Reached:
+    """The vectors (or running products) the fixpoint has reached: id
+    tuples, plus the set of their decoded forms.
+
+    The worklist walks the decoded set.  Its order follows the
+    summaries' hashes and fixes the order transitions are recorded in,
+    and with it which of several equally small witnesses is found;
+    walking the id tuples instead would change some witnesses.  Each
+    decoded tuple is decoded and hashed once, and maps back to its ids
+    by object identity, which is cheaper than hashing it again.
+    """
+
+    def __init__(self, evaluator: _Evaluator) -> None:
+        self._decode = evaluator.decode
+        self.ids: Set[_Ids] = set()
+        self._decoded: Set[Tuple[Summary, ...]] = set()
+        self._ids_of: Dict[int, _Ids] = {}
+        self.work: List[_Ids] = []
+
+    def add(self, idents: _Ids) -> bool:
+        """Record ``idents``; whether it was new (then it is queued)."""
+        if idents in self.ids:
+            return False
+        decoded = self._decode(idents)
+        self.ids.add(idents)
+        self._decoded.add(decoded)
+        self._ids_of[id(decoded)] = idents
+        self.work.append(idents)
+        return True
+
+    def walk(self) -> List[_Ids]:
+        """The id tuples, in the decoded set's order."""
+        return [self._ids_of[id(decoded)] for decoded in self._decoded]
+
+    def names(self, prefix: str) -> Dict[_Ids, Tuple[str, int]]:
+        """State names ``(prefix, i)``, numbered in ``repr`` order of the
+        decoded tuples."""
+        ordered = sorted(self._decoded, key=repr)
+        return {self._ids_of[id(decoded)]: (prefix, i) for i, decoded in enumerate(ordered)}
 
 
 def hedge_summary(transducer: TopDownTransducer, output_dtd: DTD, t: Tree) -> Summary:
     """The summary of ``T(t)`` (as a hedge) w.r.t. the output DTD —
     the per-tree building block of the inverse-type construction."""
-    out = _output_type(output_dtd)
-    evaluator = _Evaluator(transducer, out)
-    vector = evaluator.vector_of_tree(t)
-    return vector[evaluator.states.index(transducer.initial)]
+    evaluator = _Evaluator(transducer, _output_type(output_dtd))
+    return evaluator.initial_summary(evaluator.vector_of_tree(t))
 
 
 def output_valid(transducer: TopDownTransducer, output_dtd: DTD, t: Tree) -> bool:
     """Whether ``T(t)`` is a single tree valid w.r.t. the output DTD —
     decided through summaries (cross-checked in tests against running
     the transducer and validating directly)."""
-    out = _output_type(output_dtd)
-    evaluator = _Evaluator(transducer, out)
+    evaluator = _Evaluator(transducer, _output_type(output_dtd))
     return evaluator.root_ok(evaluator.vector_of_tree(t))
 
 
@@ -291,62 +368,45 @@ def _inverse_type_nta_impl(
     evaluator = _Evaluator(transducer, out)
     sigma = tuple(sorted(set(input_alphabet)))
 
-    unit_product = tuple(_unit(out) for _ in evaluator.states)
-    text_vector = evaluator.text_vector()
+    unit_product = (evaluator.unit,) * len(evaluator.states)
+    text_vector = evaluator.text_vector
 
     # Discover reachable vectors and reachable running products with a
     # worklist: each (product, vector) pair and each (symbol, product)
     # pair is processed exactly once.
-    vectors: Set[Tuple[Summary, ...]] = {text_vector}
-    products: Set[Tuple[Summary, ...]] = {unit_product}
-    transitions_h: Dict[Tuple[Tuple[Summary, ...], Tuple[Summary, ...]], Tuple[Summary, ...]] = {}
-    results: Dict[Tuple[str, Tuple[Summary, ...]], Tuple[Summary, ...]] = {}
-    n_states = len(evaluator.states)
-    work_products: List[Tuple[Summary, ...]] = [unit_product]
-    work_vectors: List[Tuple[Summary, ...]] = [text_vector]
+    vectors = _Reached(evaluator)
+    products = _Reached(evaluator)
+    vectors.add(text_vector)
+    products.add(unit_product)
+    transitions_h: Dict[Tuple[_Ids, _Ids], _Ids] = {}
+    results: Dict[Tuple[str, _Ids], _Ids] = {}
+    concat = evaluator.concat
 
-    def found_product(candidate: Tuple[Summary, ...]) -> None:
-        if candidate not in products:
-            products.add(candidate)
-            work_products.append(candidate)
-
-    def found_vector(candidate: Tuple[Summary, ...]) -> bool:
-        if candidate not in vectors:
-            vectors.add(candidate)
-            work_vectors.append(candidate)
-            return True
-        return False
-
-    def pair(product: Tuple[Summary, ...], vector: Tuple[Summary, ...]) -> None:
+    def pair(product: _Ids, vector: _Ids) -> None:
         key = (product, vector)
         if key in transitions_h:
             return
-        combined = tuple(
-            _concat(out, product[i], vector[i]) for i in range(n_states)
-        )
-        transitions_h[key] = combined
-        found_product(combined)
+        combined = transitions_h[key] = tuple(map(concat, product, vector))
+        products.add(combined)
 
     attribute = obs.enabled()
     vectors_by_label: Dict[str, int] = {}
-    while work_products or work_vectors:
-        if work_products:
-            product = work_products.pop()
-            for vector in list(vectors):
+    while products.work or vectors.work:
+        if products.work:
+            product = products.work.pop()
+            for vector in vectors.walk():
                 pair(product, vector)
             for symbol in sigma:
                 key2 = (symbol, product)
                 if key2 not in results:
-                    as_dict = dict(zip(evaluator.states, product))
-                    vector = evaluator.combine(symbol, as_dict)
-                    results[key2] = vector
-                    if found_vector(vector) and attribute:
+                    vector = results[key2] = evaluator.combine(symbol, product)
+                    if vectors.add(vector) and attribute:
                         # A fresh summary vector, credited to the input
                         # label whose combine step discovered it.
                         vectors_by_label[symbol] = vectors_by_label.get(symbol, 0) + 1
         else:
-            vector = work_vectors.pop()
-            for product in list(products):
+            vector = vectors.work.pop()
+            for product in products.walk():
                 pair(product, vector)
 
     if obs.enabled():
@@ -356,15 +416,15 @@ def _inverse_type_nta_impl(
                     label=symbol, site="inverse_type")
             attributed += vectors_by_label[symbol]
         # The seed text vector is the only vector no label discovered,
-        # so the flat total stays exactly len(vectors).
-        remainder = len(vectors) - attributed
+        # so the flat total stays exactly the number of vectors.
+        remainder = len(vectors.ids) - attributed
         if remainder:
             obs.add("typecheck.vectors", remainder)
-        obs.add("typecheck.products", len(products))
+        obs.add("typecheck.products", len(products.ids))
 
     # Name the states compactly.
-    vector_name = {vector: ("v", i) for i, vector in enumerate(sorted(vectors, key=repr))}
-    product_name = {product: ("h", i) for i, product in enumerate(sorted(products, key=repr))}
+    vector_name = vectors.names("v")
+    product_name = products.names("h")
 
     delta: Dict[Tuple[object, str], NFA] = {}
     # One shared horizontal transition structure (a DFA over vector
@@ -377,10 +437,11 @@ def _inverse_type_nta_impl(
     ]
     base_h = NFA(h_states, list(vector_name.values()), h_edges, product_name[unit_product], [])
 
+    product_order = products.walk()
     for symbol in sigma:
         # Group the products by the vector they yield under `symbol`.
-        finals_of_vector: Dict[Tuple[Summary, ...], Set[object]] = {}
-        for product in products:
+        finals_of_vector: Dict[_Ids, Set[object]] = {}
+        for product in product_order:
             vector = results[(symbol, product)]
             finals_of_vector.setdefault(vector, set()).add(product_name[product])
         for vector, finals in finals_of_vector.items():
@@ -393,7 +454,7 @@ def _inverse_type_nta_impl(
     # horizontal languages mirror those of the qualifying vectors.
     root_vectors = [
         vector
-        for vector in vectors
+        for vector in vectors.walk()
         if evaluator.root_ok(vector) == accept_valid
     ]
     states: Set[object] = set(vector_name.values()) | {("root",)}

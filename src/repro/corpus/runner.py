@@ -295,6 +295,20 @@ def _as_listener(
     return _CallableListener(progress)
 
 
+def _pool_worker_signals() -> None:
+    """Initializer of :class:`WorkerPool` workers: SIGTERM kills them
+    and SIGINT is ignored.
+
+    Workers are forked after ``repro serve`` has routed SIGINT/SIGTERM
+    into its event loop, and inherited, those handlers would swallow
+    the ``terminate()`` of a hard shutdown.  SIGINT stays ignored
+    because Ctrl-C reaches the whole foreground process group, and the
+    first-signal drain must let running jobs finish.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 class WorkerPool:
     """A reusable, lazily-started worker pool that outlives a single
     :func:`run_corpus` call.
@@ -326,7 +340,7 @@ class WorkerPool:
         """The live executor, created on first use."""
         if self._executor is None:
             self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers
+                max_workers=self.max_workers, initializer=_pool_worker_signals
             )
             self._pools_created += 1
         return self._executor

@@ -1,7 +1,16 @@
 """String automata and regular expressions."""
 
 from .dfa import DFA, determinize, minimize
-from .nfa import EPSILON, NFA, concat_nfa, literal_nfa, product_nfa, star_nfa, union_nfa
+from .nfa import (
+    EPSILON,
+    NFA,
+    concat_nfa,
+    literal_nfa,
+    pair_nfa,
+    product_nfa,
+    star_nfa,
+    union_nfa,
+)
 from .regex import (
     Concat,
     EmptySet,
@@ -22,6 +31,7 @@ __all__ = [
     "determinize",
     "minimize",
     "product_nfa",
+    "pair_nfa",
     "union_nfa",
     "concat_nfa",
     "star_nfa",

@@ -12,8 +12,10 @@ inputs and say so.
 
 from __future__ import annotations
 
+import itertools
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -26,7 +28,16 @@ from typing import (
     Tuple,
 )
 
-__all__ = ["NFA", "EPSILON", "product_nfa", "union_nfa", "concat_nfa", "star_nfa", "literal_nfa"]
+__all__ = [
+    "NFA",
+    "EPSILON",
+    "product_nfa",
+    "pair_nfa",
+    "union_nfa",
+    "concat_nfa",
+    "star_nfa",
+    "literal_nfa",
+]
 
 State = Hashable
 Symbol = Hashable
@@ -68,9 +79,6 @@ class NFA:
         initial: State,
         finals: Iterable[State],
     ) -> None:
-        self.states: FrozenSet[State] = frozenset(states)
-        self.initial: State = initial
-        self.finals: FrozenSet[State] = frozenset(finals)
         alpha: Set[Symbol] = set(alphabet)
         delta: Dict[State, Dict[Symbol, Set[State]]] = {}
         has_epsilon = False
@@ -80,7 +88,25 @@ class NFA:
                 has_epsilon = True
             else:
                 alpha.add(symbol)
-        self.alphabet: FrozenSet[Symbol] = frozenset(alpha)
+        self._install(states, alpha, delta, initial, finals, has_epsilon)
+
+    def _install(
+        self,
+        states: Iterable[State],
+        alphabet: Iterable[Symbol],
+        delta: Dict[State, Dict[Symbol, Set[State]]],
+        initial: State,
+        finals: Iterable[State],
+        has_epsilon: bool,
+    ) -> None:
+        """Adopt a grouped transition map ``source -> symbol -> targets``
+        and validate it: the checks every construction runs, whether it
+        starts from triples (``__init__``) or builds the map itself
+        (:func:`pair_nfa`)."""
+        self.states: FrozenSet[State] = frozenset(states)
+        self.initial: State = initial
+        self.finals: FrozenSet[State] = frozenset(finals)
+        self.alphabet: FrozenSet[Symbol] = frozenset(alphabet)
         self.has_epsilon: bool = has_epsilon
         self._delta = delta
         if self.initial not in self.states:
@@ -452,6 +478,93 @@ def product_nfa(left: NFA, right: NFA) -> NFA:
         (l, r) for (l, r) in states if l in left.finals and r in right.finals
     }
     return NFA(states, left.alphabet | right.alphabet, transitions, initial, finals)
+
+
+def pair_nfa(left: NFA, right: NFA) -> NFA:
+    """Product of two epsilon-free NFAs reading *pairs* of symbols: the
+    word ``(a1,b1)...(an,bn)`` is accepted iff ``a1..an`` is in
+    ``L(left)`` and ``b1..bn`` is in ``L(right)``.
+
+    These are the horizontal languages of an NTA intersection.  The
+    product's transition map is built in place, visiting targets in
+    :meth:`NFA.step` order, so it equals the map built from the list of
+    transition triples, transition order included.  Each pair state,
+    pair symbol and one-target set is made once and shared by the
+    transitions that use it (a transition map is never mutated once
+    built): on big products, allocating them per transition, and the
+    garbage collections those allocations trigger, cost more than the
+    search itself.
+    """
+    if left.has_epsilon or right.has_epsilon:
+        raise ValueError("pair_nfa needs epsilon-free automata")
+    left_moves = _moves_by_state(left)
+    right_moves = _moves_by_state(right)
+    initial = (left.initial, right.initial)
+    states: Set[State] = {initial}
+    singles: Dict[State, Set[State]] = {initial: {initial}}
+    symbols: Dict[Tuple[Symbol, Symbol], Tuple[Symbol, Symbol]] = {}
+    stack = [initial]
+
+    def visit(l_target: State, r_target: State) -> Set[State]:
+        """The one-element set of a pair state, queued when new."""
+        pair = (l_target, r_target)
+        single = singles.get(pair)
+        if single is None:
+            single = singles[pair] = {pair}
+            states.add(pair)
+            stack.append(pair)
+        return single
+
+    delta: Dict[State, Dict[Symbol, Set[State]]] = {}
+    while stack:
+        source = stack.pop()
+        r_moves = right_moves(source[1])
+        by_symbol: Dict[Symbol, Set[State]] = {}
+        for l_symbol, l_targets in left_moves(source[0]):
+            for r_symbol, r_targets in r_moves:
+                symbol = (l_symbol, r_symbol)
+                symbol = symbols.setdefault(symbol, symbol)
+                if len(l_targets) == 1 == len(r_targets):
+                    by_symbol[symbol] = visit(l_targets[0], r_targets[0])
+                else:
+                    # One add per target, as the constructor does: a
+                    # set grown another way can iterate in another order.
+                    targets: Set[State] = set()
+                    by_symbol[symbol] = targets
+                    for l_target in l_targets:
+                        for r_target in r_targets:
+                            visit(l_target, r_target)
+                            targets.add((l_target, r_target))
+        if by_symbol:
+            delta[source] = by_symbol
+    finals = {(l, r) for (l, r) in states if l in left.finals and r in right.finals}
+    product = object.__new__(NFA)
+    product._install(
+        states,
+        itertools.product(left.alphabet, right.alphabet),
+        delta,
+        initial,
+        finals,
+        False,
+    )
+    return product
+
+
+def _moves_by_state(nfa: NFA) -> Callable[[State], List[Tuple[Symbol, Tuple[State, ...]]]]:
+    """A lookup of ``(symbol, targets)`` per state, targets in
+    :meth:`NFA.step` order, each computed once; :func:`pair_nfa` visits
+    a state once per partner state."""
+    memo: Dict[State, List[Tuple[Symbol, Tuple[State, ...]]]] = {}
+
+    def moves(state: State) -> List[Tuple[Symbol, Tuple[State, ...]]]:
+        found = memo.get(state)
+        if found is None:
+            found = memo[state] = [
+                (symbol, tuple(nfa.step(state, symbol))) for symbol in nfa._delta.get(state, ())
+            ]
+        return found
+
+    return moves
 
 
 def union_nfa(left: NFA, right: NFA) -> NFA:

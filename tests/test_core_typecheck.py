@@ -6,9 +6,11 @@ transducer on enumerated inputs and validate the output directly.
 
 import pytest
 
+from repro import obs
 from repro.automata import TEXT, intersect_nta, nta_from_rules
 from repro.automata.enumerate import enumerate_trees
 from repro.core import TopDownTransducer
+from repro.core import typecheck
 from repro.core.typecheck import (
     _output_type,
     hedge_summary,
@@ -225,3 +227,33 @@ class TestSharedHorizontalStructure:
             for (left, right), symbol in product.delta
         }
         assert len(maps) <= len(pairs) < len(product.delta)
+
+
+class TestInternedSummaryMonoid:
+    """Object counts, not timings: the inverse-type fixpoint evaluates
+    the summary monoid once per distinct operand pair, so a change that
+    drops the memo fails here instead of costing seconds."""
+
+    def test_concat_runs_once_per_distinct_operand_pair(self, monkeypatch):
+        operands = []
+        concat = typecheck._concat
+
+        def counting(out, left, right):
+            operands.append((left, right))
+            return concat(out, left, right)
+
+        monkeypatch.setattr(typecheck, "_concat", counting)
+        inverse_type_nta(
+            example42_transducer(), figure2_dtd(), RECIPES.alphabet, accept_valid=False
+        )
+        # 237 distinct operand pairs (29 distinct summaries); evaluated
+        # without the memo, the fixpoint calls _concat 85,050 times.
+        assert len(operands) == len(set(operands)) <= 237
+
+    def test_reachable_vectors_and_products(self):
+        with obs.recording() as recorder:
+            inverse_type_nta(
+                example42_transducer(), figure2_dtd(), RECIPES.alphabet, accept_valid=False
+            )
+        assert recorder.counters["typecheck.vectors"] == 19
+        assert recorder.counters["typecheck.products"] == 1215

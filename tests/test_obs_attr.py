@@ -370,17 +370,20 @@ class TestHotPathAttribution:
         assert any("/" in rule for rule in rules)  # real rules named
         assert "(seed)" in rules and "(accept)" in rules
 
-    def test_typecheck_vectors_attributed_per_label(self, files):
-        from repro.analysis import is_text_preserving
-        from repro.cli import load_schema, load_transducer
+    def test_typecheck_vectors_attributed_per_label(self):
+        from repro.core.typecheck import typechecks
+        from repro.paper import example42_transducer
+        from tests.test_core_typecheck import RECIPES, figure2_dtd
 
         with obs.recording() as recorder:
-            is_text_preserving(
-                load_transducer(files["select"]), load_schema(files["schema"])
-            )
-        if "typecheck.vectors" in recorder.labeled:
-            by_key = recorder.labeled["typecheck.vectors"]
-            assert sum(by_key.values()) <= recorder.counters["typecheck.vectors"]
+            assert typechecks(example42_transducer(), RECIPES, figure2_dtd())
+        by_key = recorder.labeled["typecheck.vectors"]
+        # Every vector but the seed text vector is credited to the input
+        # label whose combine step discovered it: 18 of 19.
+        assert recorder.counters["typecheck.vectors"] == 19
+        assert sum(by_key.values()) == recorder.counters["typecheck.vectors"] - 1
+        labels = {dict(key)["label"] for key in by_key}
+        assert labels and labels <= set(RECIPES.alphabet)
 
 
 class TestExplainCli:

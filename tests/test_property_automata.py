@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.automata import NTA, TEXT, intersect_nta, nta_from_rules, union_nta
 from repro.strings import NFA, determinize, minimize, parse_regex
 from repro.trees import Tree
+from tests.test_strings_nfa import assert_same_pair_product
 
 LABELS = ("a", "b")
 
@@ -166,3 +167,43 @@ class TestSharedStructureIntersection:
             assert shared.accepts(witness) and unshared.accepts(witness)
             maps = {horizontal.structure_key() for horizontal in shared.delta.values()}
             assert len(maps) < len(shared.delta)
+
+
+SYMBOLS = ("a", "b", "c")
+
+
+@st.composite
+def epsilon_free_nfas(draw):
+    """Small epsilon-free NFAs over tuple states.  Moves are drawn as
+    (source, symbol, target set) so that sets of five or more targets,
+    whose iteration order can change when copied, come up often."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    states = st.integers(min_value=0, max_value=size - 1).map(lambda i: ("q", i))
+    moves = draw(st.lists(st.tuples(states, st.sampled_from(SYMBOLS), st.sets(states)), max_size=8))
+    transitions = [
+        (source, symbol, target) for source, symbol, targets in moves for target in targets
+    ]
+    alphabet = draw(st.sets(st.sampled_from(SYMBOLS + ("d",))))
+    return NFA(
+        [("q", i) for i in range(size)],
+        alphabet,
+        transitions,
+        draw(states),
+        draw(st.sets(states)),
+    )
+
+
+class TestPairNfaProperties:
+    @given(
+        left=epsilon_free_nfas(),
+        right=epsilon_free_nfas(),
+        word=st.lists(st.tuples(st.sampled_from(SYMBOLS), st.sampled_from(SYMBOLS)), max_size=5),
+    )
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    def test_pair_nfa_matches_the_reference(self, left, right, word):
+        product = assert_same_pair_product(left, right)
+        left_word = tuple(symbol for symbol, _ in word)
+        right_word = tuple(symbol for _, symbol in word)
+        assert product.accepts(tuple(word)) == (
+            left.accepts(left_word) and right.accepts(right_word)
+        )

@@ -112,6 +112,9 @@ def _start_daemon(root, *, delay=None):
         env=env,
         stderr=subprocess.PIPE,
         text=True,
+        # Its own process group, so teardown can reach the pool workers
+        # of a daemon that died without stopping them.
+        start_new_session=True,
     )
     deadline = time.time() + 120
     while not sock.exists():
@@ -130,6 +133,24 @@ def _start_daemon(root, *, delay=None):
         status_file=str(root / "status.json"),
         journal=str(root / "journal"),
     )
+
+
+def _kill_group(server):
+    """SIGKILL whatever is left of a daemon's process group."""
+    try:
+        os.killpg(server.proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _submit_and_drop(server, corpus_dir):
+    """Submit a corpus and read the stream until the daemon goes away."""
+    try:
+        client = ServeClient(socket_path=server.socket, timeout=None)
+        for _ in client.submit({"corpus_dir": str(corpus_dir), "no_cache": True}):
+            pass
+    except Exception:
+        pass  # the daemon dies under this stream — expected
 
 
 def _submit(server, payload):
@@ -171,17 +192,9 @@ def crash(corpora):
         assert len(streamed_jobs) == 2
 
         # ... and a second hangs in the delay hook, confirmed running.
-        def submit_slow():
-            try:
-                client = ServeClient(socket_path=server.socket, timeout=None)
-                for _ in client.submit(
-                    {"corpus_dir": str(corpora.slow), "no_cache": True}
-                ):
-                    pass
-            except Exception:
-                pass  # the daemon dies under this stream — expected
-
-        slow_thread = threading.Thread(target=submit_slow, daemon=True)
+        slow_thread = threading.Thread(
+            target=_submit_and_drop, args=(server, corpora.slow), daemon=True
+        )
         slow_thread.start()
         deadline = time.time() + 60
         while _request_state(server.status_file, "r0002") != "running":
@@ -214,6 +227,8 @@ def crash(corpora):
         if not killed and server.proc.poll() is None:
             server.proc.kill()
             server.proc.wait()
+        # SIGKILL gave the daemon no chance to stop its pool workers.
+        _kill_group(server)
 
 
 class TestCrashRecovery:
@@ -284,3 +299,61 @@ class TestCrashRecovery:
         assert "interrupted" in frame
         assert "journal:" in frame
         assert "interrupted recovered" in frame
+
+
+def _children(pid):
+    """The pids whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads worker pids from /proc")
+class TestHardShutdown:
+    def test_second_sigint_terminates_busy_workers(self, corpora, tmp_path):
+        """SIGINT drains; a second SIGINT terminates the pool workers,
+        even one held in a job, and the daemon exits."""
+        server = _start_daemon(tmp_path, delay="slowpoke:120")
+        try:
+            threading.Thread(
+                target=_submit_and_drop, args=(server, corpora.slow), daemon=True
+            ).start()
+            deadline = time.time() + 60
+            while (
+                _request_state(server.status_file, "r0001") != "running"
+                or not _children(server.proc.pid)
+            ):
+                assert time.time() < deadline, "r0001 never reached a worker"
+                time.sleep(0.1)
+            workers = _children(server.proc.pid)
+            server.proc.send_signal(signal.SIGINT)
+            time.sleep(1.0)
+            server.proc.send_signal(signal.SIGINT)
+            assert server.proc.wait(timeout=30) == 0
+            deadline = time.time() + 10
+            while any(_running(pid) for pid in workers):
+                assert time.time() < deadline, "pool workers outlived the daemon"
+                time.sleep(0.1)
+        finally:
+            if server.proc.poll() is None:
+                server.proc.kill()
+                server.proc.wait()
+            _kill_group(server)

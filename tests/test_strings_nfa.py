@@ -10,6 +10,7 @@ from repro.strings import (
     concat_nfa,
     determinize,
     literal_nfa,
+    pair_nfa,
     product_nfa,
     star_nfa,
     union_nfa,
@@ -244,6 +245,101 @@ class TestSharedStructure:
         assert union.structure_key() != base.structure_key()
         for word in words_up_to("ab", 6):
             assert union.accepts(word) == (left.accepts(word) or right.accepts(word)), word
+
+
+def pair_reference(left: NFA, right: NFA) -> NFA:
+    """The pair product as NTA intersection built it before
+    :func:`pair_nfa`: a list of transition triples, read through
+    ``symbols_from``/``step`` and grouped by the public constructor."""
+    initial = (left.initial, right.initial)
+    states = {initial}
+    transitions = []
+    stack = [initial]
+    while stack:
+        l_state, r_state = stack.pop()
+        for l_symbol in left.symbols_from(l_state):
+            for r_symbol in right.symbols_from(r_state):
+                pair_symbol = (l_symbol, r_symbol)
+                for l_target in left.step(l_state, l_symbol):
+                    for r_target in right.step(r_state, r_symbol):
+                        pair = (l_target, r_target)
+                        transitions.append(((l_state, r_state), pair_symbol, pair))
+                        if pair not in states:
+                            states.add(pair)
+                            stack.append(pair)
+    alphabet = set(itertools.product(left.alphabet, right.alphabet))
+    finals = {(l, r) for (l, r) in states if l in left.finals and r in right.finals}
+    return NFA(states, alphabet, transitions, initial, finals)
+
+
+def assert_same_pair_product(left: NFA, right: NFA) -> NFA:
+    """``pair_nfa(left, right)``, checked against :func:`pair_reference`."""
+    product, reference = pair_nfa(left, right), pair_reference(left, right)
+    assert product.states == reference.states
+    assert product.finals == reference.finals
+    assert product.alphabet == reference.alphabet
+    assert product.initial == reference.initial
+    assert not product.has_epsilon
+    assert list(product.transitions()) == list(reference.transitions())
+    return product
+
+
+class TestPairNfa:
+    """``pair_nfa`` builds its transition map in place.  It must equal
+    the triple-built reference, transition order included: that order
+    decides which of several equally small witnesses is found."""
+
+    def fan(self) -> NFA:
+        """Six targets on one symbol: a set that large can iterate in
+        another order once copied into a frozenset by ``step``."""
+        hubs = [("q", i) for i in range(6)]
+        transitions = [(hubs[0], "a", hub) for hub in hubs]
+        transitions += [(hub, "b", hubs[0]) for hub in hubs[1:]]
+        return NFA(hubs, {"a", "b", "c"}, transitions, hubs[0], {hubs[0], hubs[3]})
+
+    def test_matches_the_reference(self):
+        for left in (ab_star(), self.fan()):
+            for right in (ab_star(), self.fan(), ab_star().with_finals(())):
+                assert_same_pair_product(left, right)
+
+    def test_reads_pairs_of_words(self):
+        left, right = self.fan(), ab_star()
+        product = pair_nfa(left, right)
+        for n in range(5):
+            for left_word in itertools.product("ab", repeat=n):
+                for right_word in itertools.product("ab", repeat=n):
+                    expected = left.accepts(left_word) and right.accepts(right_word)
+                    assert product.accepts(tuple(zip(left_word, right_word))) == expected
+
+    def test_epsilon_input_is_rejected(self):
+        moving = NFA({0, 1}, {"a"}, [(0, EPSILON, 1), (1, "a", 1)], 0, {1})
+        with pytest.raises(ValueError):
+            pair_nfa(moving, ab_star())
+        with pytest.raises(ValueError):
+            pair_nfa(ab_star(), moving)
+        assert_same_pair_product(moving.without_epsilon(), ab_star())
+
+    def test_example42_products_match_the_reference(self, monkeypatch):
+        """Every pair product behind the intersection of Example 4.2's
+        inverse type (against Figure 2) with the recipes schema."""
+        import repro.automata.nta as nta_module
+        from repro.automata import intersect_nta
+        from repro.core.typecheck import inverse_type_nta
+        from repro.paper import example42_transducer
+        from tests.test_core_typecheck import RECIPES, figure2_dtd
+
+        operands = []
+
+        def recording(left, right):
+            operands.append((left, right))
+            return pair_nfa(left, right)
+
+        monkeypatch.setattr(nta_module, "pair_nfa", recording)
+        bad = inverse_type_nta(example42_transducer(), figure2_dtd(), RECIPES.alphabet)
+        intersect_nta(bad, RECIPES)
+        assert operands
+        for left, right in operands:
+            assert_same_pair_product(left, right)
 
 
 class TestLanguageComparison:
