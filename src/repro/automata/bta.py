@@ -14,12 +14,20 @@ children; the absent child is "nil".  A BTA assigns states bottom-up:
 labelled ``a`` whose children evaluated to ``(q_left, q_right)`` may
 take any state in ``transitions[a][(q_left, q_right)]``.  The tree is
 accepted when the root can take a state in ``finals``.
+
+Transitions are stored once per *label class*: labels with the same
+table share it, and a label → class map says which.  Marked alphabets
+(MSO compilation) put many labels in one class, so the constructions
+below work per class, not per label, and build their results' tables
+and class maps directly instead of regrouping them.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import operator
 from typing import (
     Callable,
     Dict,
@@ -29,6 +37,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -37,6 +46,10 @@ __all__ = ["BTree", "BTA", "intersect_bta", "union_bta", "bleaf"]
 
 State = Hashable
 Label = Hashable
+Pair = Tuple[State, State]
+Table = Dict[Pair, FrozenSet[State]]
+
+_NO_TARGETS: FrozenSet[State] = frozenset()
 
 
 class BTree:
@@ -112,6 +125,27 @@ def bleaf(label: Label) -> BTree:
     return BTree(label)
 
 
+class _Tables:
+    """Class tables under construction, one per distinct content."""
+
+    __slots__ = ("tables", "_by_size")
+
+    def __init__(self) -> None:
+        self.tables: List[Table] = []
+        self._by_size: Dict[int, List[int]] = {}
+
+    def index(self, table: Table) -> int:
+        """The class of ``table``; a table equal to none so far opens a
+        new class."""
+        candidates = self._by_size.setdefault(len(table), [])
+        for index in candidates:
+            if self.tables[index] == table:
+                return index
+        candidates.append(len(self.tables))
+        self.tables.append(table)
+        return len(self.tables) - 1
+
+
 class BTA:
     """A bottom-up nondeterministic binary tree automaton.
 
@@ -124,12 +158,25 @@ class BTA:
     leaf_states:
         States assignable to nil positions.
     transitions:
-        Mapping ``label -> {(q_left, q_right): set_of_targets}``.
+        Mapping ``label -> {(q_left, q_right): set_of_targets}``.  Every
+        label must be in ``alphabet`` and every state in ``states``.
     finals:
         Accepting root states.
+
+    Transitions are stored once per *label class*: ``_tables`` holds one
+    table ``{(q_left, q_right): frozenset(targets)}`` per class, pairwise
+    distinct in content, and ``_class_of`` maps every alphabet label to
+    its class (labels without transitions share the empty table).  The
+    map lists the labels with transitions first, in the order
+    :meth:`rules` and :meth:`witness` visit them.  Tables are never
+    modified, so constructions share them freely.
+    ``_inhabited`` caches the inhabited states; constructions whose
+    states are all inhabited set it when they build the automaton.
     """
 
-    __slots__ = ("states", "alphabet", "leaf_states", "finals", "_rules", "_inhabited", "_classes")
+    __slots__ = (
+        "states", "alphabet", "leaf_states", "finals", "_tables", "_class_of", "_inhabited"
+    )
 
     def __init__(
         self,
@@ -139,53 +186,123 @@ class BTA:
         transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]],
         finals: Iterable[State],
     ) -> None:
-        self.states: FrozenSet[State] = frozenset(states)
-        self.alphabet: FrozenSet[Label] = frozenset(alphabet)
-        self.leaf_states: FrozenSet[State] = frozenset(leaf_states)
-        self.finals: FrozenSet[State] = frozenset(finals)
-        # Labels frequently share one table object (class-grouped
-        # constructions); freeze each distinct object once.
-        frozen_by_id: Dict[int, Dict[Tuple[State, State], FrozenSet[State]]] = {}
-        self._rules: Dict[Label, Dict[Tuple[State, State], FrozenSet[State]]] = {}
-        for label, by_pair in transitions.items():
-            frozen = frozen_by_id.get(id(by_pair))
-            if frozen is None:
-                frozen = {pair: frozenset(targets) for pair, targets in by_pair.items()}
-                frozen_by_id[id(by_pair)] = frozen
-            self._rules[label] = frozen
-        self._inhabited: Optional[FrozenSet[State]] = None
-        self._classes = None
-        if not self.leaf_states <= self.states:
+        frozen_states = frozenset(states)
+        frozen_alphabet = frozenset(alphabet)
+        frozen_leaves = frozenset(leaf_states)
+        frozen_finals = frozenset(finals)
+        if not frozen_leaves <= frozen_states:
             raise ValueError("leaf states must be states")
-        if not self.finals <= self.states:
+        if not frozen_finals <= frozen_states:
             raise ValueError("final states must be states")
+        # Labels frequently share one table object (class-grouped
+        # constructions); freeze and check each distinct object once.
+        tables = _Tables()
+        class_by_object: Dict[int, int] = {}
+        class_of: Dict[Label, int] = {}
+        for label, by_pair in transitions.items():
+            if label not in frozen_alphabet:
+                raise ValueError("transition label %r is not in the alphabet" % (label,))
+            index = class_by_object.get(id(by_pair))
+            if index is None:
+                frozen = {pair: frozenset(targets) for pair, targets in by_pair.items()}
+                for (q_left, q_right), targets in frozen.items():
+                    if not (
+                        q_left in frozen_states
+                        and q_right in frozen_states
+                        and targets <= frozen_states
+                    ):
+                        raise ValueError(
+                            "transition states must be states (label %r)" % (label,)
+                        )
+                index = class_by_object[id(by_pair)] = tables.index(frozen)
+            class_of[label] = index
+        silent = [label for label in frozen_alphabet if label not in class_of]
+        if silent:
+            empty = tables.index({})
+            class_of.update((label, empty) for label in silent)
+        self._fill(
+            frozen_states, frozen_alphabet, frozen_leaves, frozen_finals,
+            tuple(tables.tables), _class_map(class_of.items(), tables.tables), None,
+        )
+
+    @classmethod
+    def _of(
+        cls,
+        states: FrozenSet[State],
+        alphabet: FrozenSet[Label],
+        leaf_states: FrozenSet[State],
+        finals: FrozenSet[State],
+        tables: Tuple[Table, ...],
+        class_of: Dict[Label, int],
+        inhabited: Optional[FrozenSet[State]] = None,
+    ) -> "BTA":
+        """The kernel's constructor: the arguments are frozen and
+        consistent (every table used by some label, tables pairwise
+        distinct, ``class_of`` total on the alphabet) and are stored as
+        they are, without copying or checking."""
+        bta = cls.__new__(cls)
+        bta._fill(states, alphabet, leaf_states, finals, tables, class_of, inhabited)
+        return bta
+
+    def _fill(
+        self,
+        states: FrozenSet[State],
+        alphabet: FrozenSet[Label],
+        leaf_states: FrozenSet[State],
+        finals: FrozenSet[State],
+        tables: Tuple[Table, ...],
+        class_of: Dict[Label, int],
+        inhabited: Optional[FrozenSet[State]],
+    ) -> None:
+        self.states: FrozenSet[State] = states
+        self.alphabet: FrozenSet[Label] = alphabet
+        self.leaf_states: FrozenSet[State] = leaf_states
+        self.finals: FrozenSet[State] = finals
+        self._tables = tables
+        self._class_of = class_of
+        self._inhabited = inhabited
 
     # -- introspection ----------------------------------------------------
 
+    def _labels_per_class(self) -> List[int]:
+        counts = [0] * len(self._tables)
+        for index in self._class_of.values():
+            counts[index] += 1
+        return counts
+
     @property
     def size(self) -> int:
-        """States plus transition entries (a rough complexity measure)."""
+        """States plus transition entries, counted per label (a rough
+        complexity measure)."""
         return len(self.states) + sum(
-            len(targets) for by_pair in self._rules.values() for targets in by_pair.values()
+            count * sum(len(targets) for targets in table.values())
+            for count, table in zip(self._labels_per_class(), self._tables)
         )
 
     def __repr__(self) -> str:
         return "BTA(states=%d, alphabet=%d, rules=%d)" % (
             len(self.states),
             len(self.alphabet),
-            sum(len(b) for b in self._rules.values()),
+            sum(
+                count * len(table)
+                for count, table in zip(self._labels_per_class(), self._tables)
+            ),
         )
 
     def rules(self) -> Iterator[Tuple[Label, State, State, State]]:
         """Yield ``(label, q_left, q_right, target)`` quadruples."""
-        for label, by_pair in self._rules.items():
-            for (q_left, q_right), targets in by_pair.items():
+        for label, index in self._class_of.items():
+            for (q_left, q_right), targets in self._tables[index].items():
                 for target in targets:
                     yield (label, q_left, q_right, target)
 
     def targets(self, label: Label, q_left: State, q_right: State) -> FrozenSet[State]:
         """The target set ``Delta_label(q_left, q_right)``."""
-        return self._rules.get(label, {}).get((q_left, q_right), frozenset())
+        return self._table_of(label).get((q_left, q_right), _NO_TARGETS)
+
+    def _table_of(self, label: Label) -> Table:
+        index = self._class_of.get(label)
+        return self._tables[index] if index is not None else {}
 
     # -- membership --------------------------------------------------------
 
@@ -204,11 +321,11 @@ class BTA:
         left = self._eval(t.left, memo) if t.left is not None else self.leaf_states
         right = self._eval(t.right, memo) if t.right is not None else self.leaf_states
         result: Set[State] = set()
-        by_pair = self._rules.get(t.label, {})
+        by_pair = self._table_of(t.label)
         if len(left) * len(right) <= len(by_pair):
             for q_left in left:
                 for q_right in right:
-                    result |= by_pair.get((q_left, q_right), frozenset())
+                    result |= by_pair.get((q_left, q_right), _NO_TARGETS)
         else:
             for (q_left, q_right), targets in by_pair.items():
                 if q_left in left and q_right in right:
@@ -224,22 +341,27 @@ class BTA:
     # -- emptiness / witness --------------------------------------------------
 
     def inhabited_states(self) -> FrozenSet[State]:
-        """States reachable bottom-up from nil (emptiness fixpoint;
-        runs once per distinct transition table)."""
+        """States reachable bottom-up from nil (emptiness: a worklist
+        over the distinct class tables)."""
         if self._inhabited is not None:
             return self._inhabited
+        # A rule waits on both of its children.
+        waiting: Dict[State, List[Tuple[State, State, FrozenSet[State]]]] = {}
+        for table in self._tables:
+            for (q_left, q_right), targets in table.items():
+                rule = (q_left, q_right, targets)
+                waiting.setdefault(q_left, []).append(rule)
+                if q_right != q_left:
+                    waiting.setdefault(q_right, []).append(rule)
         inhabited: Set[State] = set(self.leaf_states)
-        tables = [table for _labels, table in self.label_classes()]
-        changed = True
-        while changed:
-            changed = False
-            for by_pair in tables:
-                for (q_left, q_right), targets in by_pair.items():
-                    if q_left in inhabited and q_right in inhabited:
-                        fresh = targets - inhabited
-                        if fresh:
-                            inhabited |= fresh
-                            changed = True
+        work = list(inhabited)
+        while work:
+            for q_left, q_right, targets in waiting.get(work.pop(), ()):
+                if q_left in inhabited and q_right in inhabited:
+                    for target in targets:
+                        if target not in inhabited:
+                            inhabited.add(target)
+                            work.append(target)
         self._inhabited = frozenset(inhabited)
         return self._inhabited
 
@@ -255,7 +377,15 @@ class BTA:
         is then the cheapest rule application landing in a final state
         — acceptance needs an actual root node, so a final state's nil
         derivation alone does not accept.
+
+        Each class is scanned once, under its first label: the other
+        labels of a class reach the same costs and never win a strict
+        comparison, so the result is that of a scan over every label.
         """
+        first_label: Dict[int, Label] = {}
+        for label, index in self._class_of.items():
+            first_label.setdefault(index, label)
+        classes = [(label, self._tables[index]) for index, label in first_label.items()]
         best: Dict[State, Optional[BTree]] = {q: None for q in self.leaf_states}
         cost: Dict[State, int] = {q: 0 for q in self.leaf_states}
         heap: List[Tuple[int, int, State]] = []
@@ -268,7 +398,7 @@ class BTA:
             if state in settled:
                 continue
             settled.add(state)
-            for label, by_pair in self._rules.items():
+            for label, by_pair in classes:
                 for (q_left, q_right), targets in by_pair.items():
                     if q_left not in settled or q_right not in settled:
                         continue
@@ -283,7 +413,7 @@ class BTA:
                             best[target] = BTree(label, best[q_left], best[q_right])
                             heapq.heappush(heap, (new_cost, next(counter), target))
         champion: Optional[BTree] = None
-        for label, by_pair in self._rules.items():
+        for label, by_pair in classes:
             for (q_left, q_right), targets in by_pair.items():
                 if q_left not in settled or q_right not in settled:
                     continue
@@ -296,75 +426,71 @@ class BTA:
 
     # -- label classes -----------------------------------------------------------
 
-    def label_classes(self) -> List[Tuple[Tuple[Label, ...], Dict[Tuple[State, State], FrozenSet[State]]]]:
-        """Group alphabet labels by identical transition tables.
+    def label_classes(self) -> List[Tuple[Tuple[Label, ...], Table]]:
+        """The label classes, each with its shared transition table.
 
         Marked alphabets (MSO compilation) contain many labels whose
-        behaviour coincides; the expensive constructions below iterate
-        per *class* instead of per label, which routinely shrinks the
-        work by the number of mark combinations.
+        behaviour coincides; the constructions below work per *class*
+        instead of per label, which routinely shrinks the work by the
+        number of mark combinations.
         """
-        if self._classes is not None:
-            return self._classes
-        # Fast path: group by table object identity (constructions built
-        # per class share the object), then merge identical contents.
-        empty: Dict[Tuple[State, State], FrozenSet[State]] = {}
-        by_object: Dict[int, List[Label]] = {}
-        object_table: Dict[int, Dict[Tuple[State, State], FrozenSet[State]]] = {}
-        for label in self.alphabet:
-            table = self._rules.get(label, empty)
-            by_object.setdefault(id(table), []).append(label)
-            object_table[id(table)] = table
-        groups: Dict[FrozenSet, List[Label]] = {}
-        tables: Dict[FrozenSet, Dict[Tuple[State, State], FrozenSet[State]]] = {}
-        for object_id, labels in by_object.items():
-            table = object_table[object_id]
-            key = frozenset(table.items())
-            groups.setdefault(key, []).extend(labels)
-            tables[key] = table
-        self._classes = [(tuple(labels), tables[key]) for key, labels in groups.items()]
-        return self._classes
+        members: List[List[Label]] = [[] for _ in self._tables]
+        for label, index in self._class_of.items():
+            members[index].append(label)
+        return [(tuple(labels), table) for labels, table in zip(members, self._tables)]
 
     # -- trimming ----------------------------------------------------------------
 
     def trim(self) -> "BTA":
-        """Keep only states that occur in some accepting evaluation
-        (class-grouped: the fixpoint and the rebuild run once per
-        distinct transition table)."""
+        """Keep only states that occur in some accepting evaluation.
+
+        A worklist walks from the inhabited final states to the
+        inhabited children of the rules producing useful states.  Every
+        useful state is inhabited, which the result records.
+        """
         inhabited = self.inhabited_states()
-        classes = self.label_classes()
+        everywhere = len(inhabited) == len(self.states)
+        producers: Dict[State, List[Pair]] = {}
+        for table in self._tables:
+            for pair, targets in table.items():
+                if everywhere or (pair[0] in inhabited and pair[1] in inhabited):
+                    for target in targets:
+                        producers.setdefault(target, []).append(pair)
         useful: Set[State] = set(self.finals & inhabited)
-        changed = True
-        while changed:
-            changed = False
-            for _labels, by_pair in classes:
-                for (q_left, q_right), targets in by_pair.items():
-                    if q_left not in inhabited or q_right not in inhabited:
-                        continue
-                    if {q_left, q_right} <= useful:
-                        continue
-                    if targets & useful:
-                        useful.add(q_left)
-                        useful.add(q_right)
-                        changed = True
-        transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-        for labels, by_pair in classes:
-            new_table: Dict[Tuple[State, State], Set[State]] = {}
-            for (q_left, q_right), targets in by_pair.items():
-                if q_left not in useful or q_right not in useful:
-                    continue
-                kept = {t for t in targets if t in useful}
-                if kept:
-                    new_table[(q_left, q_right)] = kept
-            if new_table:
-                for label in labels:
-                    transitions[label] = new_table
-        return BTA(
-            useful or {"__dead__"},
+        work = list(useful)
+        while work:
+            for pair in producers.get(work.pop(), ()):
+                for q in pair:
+                    if q not in useful:
+                        useful.add(q)
+                        work.append(q)
+        if useful and len(useful) == len(self.states):
+            # Nothing to drop: share the tables.
+            tables: Sequence[Table] = self._tables
+            remap = list(range(len(tables)))
+        else:
+            kept_tables = _Tables()
+            remap = []
+            for table in self._tables:
+                kept: Table = {}
+                for pair, targets in table.items():
+                    if pair[0] in useful and pair[1] in useful:
+                        if not targets <= useful:
+                            targets = targets & useful
+                        if targets:
+                            kept[pair] = targets
+                remap.append(kept_tables.index(kept))
+            tables = kept_tables.tables
+        labels = _grouped(self.alphabet, self._class_of.__getitem__)
+        kept_states = frozenset(useful)
+        return BTA._of(
+            kept_states or frozenset(["__dead__"]),
             self.alphabet,
-            self.leaf_states & useful,
-            transitions,
-            self.finals & useful,
+            self.leaf_states & kept_states,
+            self.finals & kept_states,
+            tuple(tables),
+            _class_map(((label, remap[self._class_of[label]]) for label in labels), tables),
+            kept_states,
         )
 
     # -- determinization / complement -----------------------------------------------
@@ -373,51 +499,118 @@ class BTA:
         """Subset construction.  The result is deterministic and
         complete over its reachable subset-states (every label and pair
         of reachable states has exactly one target), so complement is a
-        final-flip."""
-        nil = frozenset(self.leaf_states)
-        classes = self.label_classes()
-        subsets: Set[FrozenSet[State]] = {nil}
-        class_transitions: List[Dict[Tuple[State, State], Set[State]]] = [
-            {} for _ in classes
-        ]
-        known_pairs: Set[Tuple[FrozenSet[State], FrozenSet[State], int]] = set()
-        changed = True
-        while changed:
-            changed = False
-            snapshot = list(subsets)
-            for q_left in snapshot:
-                for q_right in snapshot:
-                    for index, (_labels, table) in enumerate(classes):
-                        key = (q_left, q_right, index)
-                        if key in known_pairs:
-                            continue
-                        known_pairs.add(key)
-                        target = _subset_target_table(table, q_left, q_right)
-                        class_transitions[index][(q_left, q_right)] = {target}
-                        if target not in subsets:
-                            subsets.add(target)
-                            changed = True
-        transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-        for index, (labels, _table) in enumerate(classes):
-            for label in labels:
-                transitions[label] = class_transitions[index]
-        finals = {s for s in subsets if s & self.finals}
-        return BTA(subsets, self.alphabet, {nil}, transitions, finals)
+        final-flip.
 
-    def _subset_target(
-        self, label: Label, left: FrozenSet[State], right: FrozenSet[State]
-    ) -> FrozenSet[State]:
-        return _subset_target_table(self._rules.get(label, {}), left, right)
+        Subsets are int bitmasks over the states, explored by a
+        worklist.  When a subset is taken, the rows of its members are
+        merged once per class; its pairs with every subset taken so far
+        then get their targets, so each (subset, subset, class) target
+        is computed exactly once, and once for all classes whose merged
+        rows coincide.  Labels without transitions form the empty class,
+        whose target is the empty subset.
+        """
+        order = list(self.states)
+        position = {q: i for i, q in enumerate(order)}
+        # rows[c][i][j]: the target mask of class c at children (i, j).
+        rows: List[Dict[int, Dict[int, int]]] = []
+        for table in self._tables:
+            by_left: Dict[int, Dict[int, int]] = {}
+            for (q_left, q_right), targets in table.items():
+                if targets:
+                    mask = 0
+                    for target in targets:
+                        mask |= 1 << position[target]
+                    by_left.setdefault(position[q_left], {})[position[q_right]] = mask
+            rows.append(by_left)
+        nil = 0
+        for q in self.leaf_states:
+            nil |= 1 << position[q]
+        masks = [nil]
+        members = [_bits(nil)]
+        number = {nil: 0}
+        # merged[k]: the distinct merged rows of subset k, and which of
+        # them belongs to each class.
+        merged: List[Tuple[List[List[int]], List[int]]] = []
+        pairs: List[Tuple[int, int]] = []
+        columns: List[List[int]] = [[] for _ in rows]
+        taken = 0
+        while taken < len(masks):
+            distinct: List[List[int]] = []
+            row_number: Dict[Tuple[int, ...], int] = {}
+            row_of_class: List[int] = []
+            for by_left in rows:
+                merged_row = [0] * len(order)
+                for i in members[taken]:
+                    row = by_left.get(i)
+                    if row:
+                        for j, mask in row.items():
+                            merged_row[j] |= mask
+                key = tuple(merged_row)
+                index = row_number.get(key)
+                if index is None:
+                    index = row_number[key] = len(distinct)
+                    distinct.append(merged_row)
+                row_of_class.append(index)
+            merged.append((distinct, row_of_class))
+            for other in range(taken + 1):
+                new_pairs = [(taken, other)] if other == taken else [(taken, other), (other, taken)]
+                for left, right in new_pairs:
+                    pairs.append((left, right))
+                    right_members = members[right]
+                    distinct, row_of_class = merged[left]
+                    found_targets: List[int] = []
+                    for merged_row in distinct:
+                        found = functools.reduce(
+                            operator.or_, map(merged_row.__getitem__, right_members), 0
+                        )
+                        target = number.get(found)
+                        if target is None:
+                            target = number[found] = len(masks)
+                            masks.append(found)
+                            members.append(_bits(found))
+                        found_targets.append(target)
+                    for column, index in zip(columns, row_of_class):
+                        column.append(found_targets[index])
+            taken += 1
+        subsets = [frozenset([order[i] for i in bits]) for bits in members]
+        singles = [frozenset((subset,)) for subset in subsets]
+        keys = [(subsets[left], subsets[right]) for left, right in pairs]
+        tables: List[Table] = []
+        class_by_column: Dict[Tuple[int, ...], int] = {}
+        remap: List[int] = []
+        for column in columns:
+            signature = tuple(column)
+            index = class_by_column.get(signature)
+            if index is None:
+                index = class_by_column[signature] = len(tables)
+                tables.append(dict(zip(keys, [singles[target] for target in column])))
+            remap.append(index)
+        final_mask = 0
+        for q in self.finals:
+            final_mask |= 1 << position[q]
+        states = frozenset(subsets)
+        labels = _grouped(self.alphabet, self._class_of.__getitem__)
+        return BTA._of(
+            states,
+            self.alphabet,
+            frozenset(subsets[:1]),
+            frozenset(s for s, mask in zip(subsets, masks) if mask & final_mask),
+            tuple(tables),
+            {label: remap[self._class_of[label]] for label in labels},
+            states,
+        )
 
     def complement(self) -> "BTA":
         """BTA for the complement language over the same alphabet."""
         det = minimize_dbta(self.determinize())
-        return BTA(
+        return BTA._of(
             det.states,
             det.alphabet,
             det.leaf_states,
-            det._rules,
             det.states - det.finals,
+            det._tables,
+            det._class_of,
+            det._inhabited,
         )
 
     def is_deterministic(self) -> bool:
@@ -426,93 +619,167 @@ class BTA:
         if len(self.leaf_states) != 1:
             return False
         return all(
-            len(targets) <= 1
-            for by_pair in self._rules.values()
-            for targets in by_pair.values()
+            len(targets) <= 1 for table in self._tables for targets in table.values()
         )
 
     # -- relabelling ----------------------------------------------------------
 
     def image(self, fn: Callable[[Label], Label]) -> "BTA":
         """BTA for ``{fn(t) : t accepted}`` (projection; may add
-        nondeterminism)."""
-        transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-        for label, by_pair in self._rules.items():
-            bucket = transitions.setdefault(fn(label), {})
-            for pair, targets in by_pair.items():
-                bucket.setdefault(pair, set()).update(targets)
-        return BTA(
+        nondeterminism).  A label's table is the union of the tables of
+        its source classes, merged once per distinct set of source
+        classes; a label with one source class shares that table."""
+        sources: Dict[Label, List[int]] = {}
+        for label, index in self._class_of.items():
+            classes = sources.setdefault(fn(label), [])
+            if self._tables[index] and index not in classes:
+                classes.append(index)
+        tables = _Tables()
+        class_by_sources: Dict[FrozenSet[int], int] = {}
+        class_of: Dict[Label, int] = {}
+        for label, classes in sources.items():
+            key = frozenset(classes)
+            index = class_by_sources.get(key)
+            if index is None:
+                index = class_by_sources[key] = tables.index(
+                    _merged([self._tables[c] for c in classes])
+                )
+            class_of[label] = index
+        return BTA._of(
             self.states,
-            {fn(a) for a in self.alphabet},
+            frozenset(sources),
             self.leaf_states,
-            transitions,
             self.finals,
+            tuple(tables.tables),
+            _class_map(class_of.items(), tables.tables),
+            self._inhabited,
         )
 
     def preimage(self, fn: Callable[[Label], Label], new_alphabet: Iterable[Label]) -> "BTA":
         """BTA over ``new_alphabet`` for ``{t : fn(t) accepted}``
-        (cylindrification).  Labels with a common image share one table
-        object, keeping the class structure visible downstream."""
-        transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-        copies: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-        for label in new_alphabet:
-            source_label = fn(label)
-            source = self._rules.get(source_label)
-            if not source:
-                continue
-            copy = copies.get(source_label)
-            if copy is None:
-                copy = {pair: set(ts) for pair, ts in source.items()}
-                copies[source_label] = copy
-            transitions[label] = copy
-        return BTA(self.states, new_alphabet, self.leaf_states, transitions, self.finals)
-
-    def rename_states(self, prefix: str) -> "BTA":
-        """An isomorphic copy with states ``(prefix, i)``."""
-        names = {q: (prefix, i) for i, q in enumerate(sorted(self.states, key=repr))}
-        transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-        for label, by_pair in self._rules.items():
-            transitions[label] = {
-                (names[l], names[r]): {names[t] for t in targets}
-                for (l, r), targets in by_pair.items()
-            }
-        return BTA(
-            names.values(),
-            self.alphabet,
-            {names[q] for q in self.leaf_states},
-            transitions,
-            {names[q] for q in self.finals},
+        (cylindrification).  Only the class map is rewritten: a label
+        takes the class of its image, whose table is shared."""
+        labels = list(new_alphabet)
+        return self._relabelled(
+            frozenset(labels), ((label, self._class_of.get(fn(label))) for label in labels)
         )
 
     def restrict_alphabet(self, alphabet: Iterable[Label]) -> "BTA":
         """Drop transitions whose label is outside ``alphabet``."""
         keep = frozenset(alphabet)
-        transitions = {
-            label: {pair: set(ts) for pair, ts in by_pair.items()}
-            for label, by_pair in self._rules.items()
-            if label in keep
-        }
-        return BTA(self.states, keep, self.leaf_states, transitions, self.finals)
+        kept = ((label, index) for label, index in self._class_of.items() if label in keep)
+        added = ((label, None) for label in keep if label not in self._class_of)
+        return self._relabelled(keep, itertools.chain(kept, added))
+
+    def _relabelled(
+        self, alphabet: FrozenSet[Label], sources: Iterable[Tuple[Label, Optional[int]]]
+    ) -> "BTA":
+        """The automaton over ``alphabet`` whose labels take the given
+        classes of this one (``None``: no transitions), sharing their
+        tables.  The inhabited states carry over when every non-empty
+        class is still used."""
+        renumber: Dict[Optional[int], int] = {}
+        tables: List[Table] = []
+        class_of: Dict[Label, int] = {}
+        for label, source in sources:
+            if source is not None and not self._tables[source]:
+                source = None
+            index = renumber.get(source)
+            if index is None:
+                index = renumber[source] = len(tables)
+                tables.append({} if source is None else self._tables[source])
+            class_of[label] = index
+        all_used = len(renumber) - (None in renumber) == sum(1 for t in self._tables if t)
+        return BTA._of(
+            self.states,
+            alphabet,
+            self.leaf_states,
+            self.finals,
+            tuple(tables),
+            _class_map(class_of.items(), tables),
+            self._inhabited if all_used else None,
+        )
+
+    def rename_states(self, prefix: str) -> "BTA":
+        """An isomorphic copy with states ``(prefix, i)``."""
+        names = {q: (prefix, i) for i, q in enumerate(sorted(self.states, key=repr))}
+        tables: Tuple[Table, ...] = tuple(
+            {
+                (names[q_left], names[q_right]): frozenset([names[t] for t in targets])
+                for (q_left, q_right), targets in table.items()
+            }
+            for table in self._tables
+        )
+        inhabited = self._inhabited
+        return BTA._of(
+            frozenset(names.values()),
+            self.alphabet,
+            frozenset(names[q] for q in self.leaf_states),
+            frozenset(names[q] for q in self.finals),
+            tables,
+            self._class_of,
+            None if inhabited is None else frozenset(names[q] for q in inhabited),
+        )
 
 
-def _subset_target_table(
-    by_pair: Dict[Tuple[State, State], FrozenSet[State]],
-    left: FrozenSet[State],
-    right: FrozenSet[State],
-) -> FrozenSet[State]:
-    result: Set[State] = set()
-    if len(left) * len(right) <= len(by_pair):
-        for q_left in left:
-            for q_right in right:
-                result |= by_pair.get((q_left, q_right), frozenset())
-    else:
-        for (q_left, q_right), targets in by_pair.items():
-            if q_left in left and q_right in right:
-                result |= targets
-    return frozenset(result)
+def _grouped(labels: Iterable[Label], key: Callable[[Label], Hashable]) -> List[Label]:
+    """``labels`` grouped by ``key``, groups in order of first
+    appearance.  Constructions that regroup labels (trim, subset
+    construction, product) list them so: by class in alphabet order.
+    Ties between equally small witnesses go to the label listed first."""
+    groups: Dict[Hashable, List[Label]] = {}
+    for label in labels:
+        groups.setdefault(key(label), []).append(label)
+    return [label for group in groups.values() for label in group]
+
+
+def _class_map(pairs: Iterable[Tuple[Label, int]], tables: Sequence[Table]) -> Dict[Label, int]:
+    """A class map from ``(label, class)`` pairs: the labels with
+    transitions first, in the given order, then those without."""
+    class_of: Dict[Label, int] = {}
+    silent: List[Tuple[Label, int]] = []
+    for label, index in pairs:
+        if tables[index]:
+            class_of[label] = index
+        else:
+            silent.append((label, index))
+    class_of.update(silent)
+    return class_of
+
+
+def _bits(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _merged(tables: List[Table]) -> Table:
+    """The union of several tables (a single table is returned as is)."""
+    if len(tables) == 1:
+        return tables[0]
+    merged: Table = {}
+    for table in tables:
+        for pair, targets in table.items():
+            known = merged.get(pair)
+            if known is None:
+                merged[pair] = targets
+            elif not targets <= known:
+                merged[pair] = known | targets
+    return merged
 
 
 # -- boolean combinations --------------------------------------------------------
+
+
+def _by_child(table: Table) -> Tuple[Dict[State, Dict[State, FrozenSet[State]]], ...]:
+    """A table indexed by each child position: ``[position][q][other]``
+    is the target set of the rule with child ``q`` at ``position`` and
+    child ``other`` at the other one."""
+    by_left: Dict[State, Dict[State, FrozenSet[State]]] = {}
+    by_right: Dict[State, Dict[State, FrozenSet[State]]] = {}
+    for (q_left, q_right), targets in table.items():
+        by_left.setdefault(q_left, {})[q_right] = targets
+        by_right.setdefault(q_right, {})[q_left] = targets
+    return by_left, by_right
 
 
 def intersect_bta(left: BTA, right: BTA) -> BTA:
@@ -520,194 +787,246 @@ def intersect_bta(left: BTA, right: BTA) -> BTA:
     alphabet; labels only in one side yield no transitions (empty
     intersection there).
 
-    The fixpoint runs once per *pair of label classes* (labels with
-    identical tables on both sides share their product table), which is
-    what makes marked-alphabet products affordable.
+    The product runs once per *pair of label classes*: labels whose
+    classes coincide on both sides share their product table.  A
+    worklist grows the product states bottom-up from the leaf pairs.  A
+    popped state visits only the class pairs whose rules have its two
+    components as the same child, and builds a product rule when its
+    other child has been popped before, so each rule is built once.
+    Every product state is inhabited, which the result records.
     """
     alphabet = left.alphabet | right.alphabet
-    leaf = set(itertools.product(left.leaf_states, right.leaf_states))
+    leaf = frozenset(itertools.product(left.leaf_states, right.leaf_states))
 
-    # Group labels by the pair (left class, right class).
-    left_class_of: Dict[Label, int] = {}
-    left_tables: List[Dict[Tuple[State, State], FrozenSet[State]]] = []
-    for index, (labels, table) in enumerate(left.label_classes()):
-        left_tables.append(table)
-        for label in labels:
-            left_class_of[label] = index
-    right_class_of: Dict[Label, int] = {}
-    right_tables: List[Dict[Tuple[State, State], FrozenSet[State]]] = []
-    for index, (labels, table) in enumerate(right.label_classes()):
-        right_tables.append(table)
-        for label in labels:
-            right_class_of[label] = index
-
-    pair_labels: Dict[Tuple[int, int], List[Label]] = {}
+    # The class pair of every label with transitions on both sides.
+    pair_of: Dict[Label, Tuple[int, int]] = {}
     for label in alphabet:
-        l_class = left_class_of.get(label)
-        r_class = right_class_of.get(label)
+        l_class = left._class_of.get(label)
+        r_class = right._class_of.get(label)
         if l_class is None or r_class is None:
             continue
-        if not left_tables[l_class] or not right_tables[r_class]:
-            continue
-        pair_labels.setdefault((l_class, r_class), []).append(label)
+        if left._tables[l_class] and right._tables[r_class]:
+            pair_of[label] = (l_class, r_class)
+    buckets: Dict[Tuple[int, int], Table] = {key: {} for key in pair_of.values()}
+    partners: Dict[int, List[Tuple[int, Table]]] = {}
+    for (l_class, r_class), bucket in buckets.items():
+        partners.setdefault(l_class, []).append((r_class, bucket))
+    l_rules = {l_class: _by_child(left._tables[l_class]) for l_class in partners}
+    r_rules = {r_class: _by_child(right._tables[r_class]) for (_l, r_class) in buckets}
+    # mentions[position][q]: the left classes with a rule having q as
+    # child `position`.
+    mentions: Tuple[Dict[State, List[int]], Dict[State, List[int]]] = ({}, {})
+    for l_class, by_position in l_rules.items():
+        for position in (0, 1):
+            for q in by_position[position]:
+                mentions[position].setdefault(q, []).append(l_class)
 
-    # Index the rules of each participating class by the first and the
-    # second component of their child pair separately, so a newly
-    # discovered product state only triggers the rule combinations it
-    # can actually enable (as left child with left-child rules, as
-    # right child with right-child rules).
-    def _position_indices(table):
-        by_first: Dict[State, List] = {}
-        by_second: Dict[State, List] = {}
-        for pair, targets in table.items():
-            by_first.setdefault(pair[0], []).append((pair, targets))
-            by_second.setdefault(pair[1], []).append((pair, targets))
-        return by_first, by_second
-
-    l_indices: Dict[int, Tuple[Dict, Dict]] = {}
-    r_indices: Dict[int, Tuple[Dict, Dict]] = {}
-    for (l_class, r_class) in pair_labels:
-        if l_class not in l_indices:
-            l_indices[l_class] = _position_indices(left_tables[l_class])
-        if r_class not in r_indices:
-            r_indices[r_class] = _position_indices(right_tables[r_class])
-
-    states: Set[Tuple[State, State]] = set(leaf)
-    buckets: Dict[Tuple[int, int], Dict[Tuple[State, State], Set[State]]] = {
-        key: {} for key in pair_labels
-    }
-    work: List[Tuple[State, State]] = list(leaf)
+    states: Set[Pair] = set(leaf)
+    work: List[Pair] = list(leaf)
+    # popped[r]: the left components popped together with r.
+    popped: Dict[State, Set[State]] = {}
+    # One target set per pair of component target sets: a set seen
+    # before has all of its states discovered already.
+    combined: Dict[Tuple[int, int], FrozenSet[Pair]] = {}
     while work:
-        new_state = work.pop()
-        new_l, new_r = new_state
-        for (l_class, r_class), bucket in buckets.items():
-            l_first, l_second = l_indices[l_class]
-            r_first, r_second = r_indices[r_class]
-            for position in (0, 1):
-                l_candidates = (l_first if position == 0 else l_second).get(new_l, ())
-                if not l_candidates:
-                    continue
-                r_candidates = (r_first if position == 0 else r_second).get(new_r, ())
-                if not r_candidates:
-                    continue
-                for (l1, l2), l_targets in l_candidates:
-                    for (r1, r2), r_targets in r_candidates:
-                        # The popped state fills `position`; the other
-                        # child pair must already be available.
-                        if position == 0:
-                            if (l2, r2) not in states:
-                                continue
+        state = work.pop()
+        new_l, new_r = state
+        popped.setdefault(new_r, set()).add(new_l)
+        for position in (0, 1):
+            for l_class in mentions[position].get(new_l, ()):
+                l_others = l_rules[l_class][position][new_l]
+                for r_class, bucket in partners[l_class]:
+                    r_others = r_rules[r_class][position].get(new_r)
+                    if r_others is None:
+                        continue
+                    for other_r, r_targets in r_others.items():
+                        # The other child must have been popped already
+                        # (a rule with two equal children is built at
+                        # position 0).
+                        lefts = popped.get(other_r)
+                        if not lefts:
+                            continue
+                        if len(lefts) < len(l_others):
+                            matches = [other_l for other_l in lefts if other_l in l_others]
                         else:
-                            if (l1, r1) not in states:
+                            matches = [other_l for other_l in l_others if other_l in lefts]
+                        for other_l in matches:
+                            if position == 0:
+                                key = (state, (other_l, other_r))
+                            elif other_l == new_l and other_r == new_r:
                                 continue
-                        pair_key = ((l1, r1), (l2, r2))
-                        targets = bucket.setdefault(pair_key, set())
-                        for lt in l_targets:
-                            for rt in r_targets:
-                                combo = (lt, rt)
-                                if combo not in targets:
-                                    targets.add(combo)
+                            else:
+                                key = ((other_l, other_r), state)
+                            l_targets = l_others[other_l]
+                            ids = (id(l_targets), id(r_targets))
+                            targets = combined.get(ids)
+                            if targets is None:
+                                targets = combined[ids] = frozenset(
+                                    itertools.product(l_targets, r_targets)
+                                )
+                                for combo in targets:
                                     if combo not in states:
                                         states.add(combo)
                                         work.append(combo)
-    transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-    for key, labels in pair_labels.items():
-        for label in labels:
-            transitions[label] = buckets[key]
-    finals = {
-        (l, r) for (l, r) in states if l in left.finals and r in right.finals
+                            bucket[key] = targets
+    tables = _Tables()
+    class_of_pair: Dict[Optional[Tuple[int, int]], int] = {
+        key: tables.index(bucket) for key, bucket in buckets.items()
     }
-    return BTA(states, alphabet, leaf, transitions, finals)
+    if len(pair_of) < len(alphabet):
+        class_of_pair[None] = tables.index({})
+    class_of = _class_map(
+        (
+            (label, class_of_pair[pair_of.get(label)])
+            for label in _grouped(alphabet, pair_of.get)
+        ),
+        tables.tables,
+    )
+    product_states = frozenset(states)
+    finals = frozenset(
+        (l, r) for (l, r) in product_states if l in left.finals and r in right.finals
+    )
+    return BTA._of(
+        product_states, alphabet, leaf, finals, tuple(tables.tables), class_of, product_states
+    )
 
 
 def minimize_dbta(det: BTA) -> BTA:
     """Myhill–Nerode minimization of a *deterministic, complete* BTA.
 
     Partition refinement: two states are distinguishable when plugging
-    them into the same one-step context (label plus sibling state on
-    either side) yields states in different blocks.  The input must be
-    deterministic (one nil state, at most one target per transition);
-    completeness over reachable contexts is what :meth:`BTA.determinize`
-    guarantees.
+    them into the same one-step context (label class plus sibling state
+    on either side) yields states in different blocks.  The input must
+    be deterministic (one nil state, at most one target per
+    transition); completeness over reachable contexts is what
+    :meth:`BTA.determinize` guarantees.
+
+    The states are numbered in ``sorted(states, key=repr)`` order, and
+    each state's targets in every context form an integer row computed
+    once; a round re-blocks the states by their block and the blocks
+    along their row.  Blocks are numbered by first appearance in that
+    order, and the quotient reads each block pair's target off one
+    representative pair.
     """
     if not det.is_deterministic():
         raise ValueError("minimize_dbta needs a deterministic BTA")
     states = sorted(det.states, key=repr)
+    size = len(states)
+    position = {q: i for i, q in enumerate(states)}
+    # grids[c][i][j]: the target of class c at children (i, j), or
+    # `size` when there is none.
+    grids: List[List[List[int]]] = []
+    for table in det._tables:
+        grid = [[size] * size for _ in range(size)]
+        for (q_left, q_right), targets in table.items():
+            for target in targets:
+                grid[position[q_left]][position[q_right]] = position[target]
+        grids.append(grid)
+    rows: List[List[int]] = [[] for _ in range(size)]
+    for grid in grids:
+        for row, as_left, as_right in zip(rows, grid, zip(*grid)):
+            row.extend(as_left)
+            row.extend(as_right)
+
     finals = det.finals
+    block = [1 if q in finals else 0 for q in states]
+    count = len(set(block))
+    while True:
+        # Index `size` (no target) reads as block -1.
+        lookup = block + [-1]
+        numbering: Dict[Tuple[int, ...], int] = {}
+        block = [
+            numbering.setdefault((lookup[i],) + tuple(map(lookup.__getitem__, row)), len(numbering))
+            for i, row in enumerate(rows)
+        ]
+        # Signatures embed the old block, so the new partition refines
+        # the old one: stop when the block count is stable.
+        if len(numbering) == count:
+            break
+        count = len(numbering)
 
-    # Initial partition: final vs non-final.
-    block_of: Dict[State, int] = {q: (1 if q in finals else 0) for q in states}
-    # Unwrap the (deterministic) singleton target sets once.
-    unwrapped = [
-        {pair: next(iter(targets)) for pair, targets in table.items() if targets}
-        for _labels, table in det.label_classes()
-    ]
-    changed = True
-    while changed:
-        changed = False
-        signature: Dict[State, Tuple] = {}
-        for q in states:
-            sig: List[Tuple] = [block_of[q]]
-            for table in unwrapped:
-                # Context signature: behaviour with every other state as
-                # the sibling, in both positions (once per label class).
-                for other in states:
-                    t1 = table.get((q, other))
-                    t2 = table.get((other, q))
-                    sig.append(
-                        (
-                            block_of[t1] if t1 is not None else -1,
-                            block_of[t2] if t2 is not None else -1,
-                        )
-                    )
-            signature[q] = tuple(sig)
-        # Re-block by signature; signatures embed the old block id, so
-        # the new partition always refines the old one — stop when the
-        # block count is stable.
-        sig_to_block: Dict[Tuple, int] = {}
-        new_block_of: Dict[State, int] = {}
-        for q in states:
-            block = sig_to_block.setdefault(signature[q], len(sig_to_block))
-            new_block_of[q] = block
-        changed = len(sig_to_block) != len(set(block_of.values()))
-        block_of = new_block_of
-
-    representative: Dict[int, State] = {}
-    for q in states:
-        representative.setdefault(block_of[q], q)
-    transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-    for label, by_pair in det._rules.items():
-        bucket = transitions.setdefault(label, {})
-        for (q_left, q_right), targets in by_pair.items():
-            if not targets:
-                continue
-            target = next(iter(targets))
-            key = (block_of[q_left], block_of[q_right])
-            bucket[key] = {block_of[target]}
-    blocks = set(block_of.values())
-    return BTA(
+    representatives: Dict[int, int] = {}
+    for i, b in enumerate(block):
+        representatives.setdefault(b, i)
+    reps = [representatives[b] for b in range(count)]
+    block_pairs = list(itertools.product(range(count), repeat=2))
+    singles = [frozenset((b,)) for b in range(count)]
+    tables: List[Table] = []
+    class_by_targets: Dict[Tuple[int, ...], int] = {}
+    remap: List[int] = []
+    for grid in grids:
+        found = tuple(
+            block[grid[i][j]] if grid[i][j] < size else -1 for i in reps for j in reps
+        )
+        index = class_by_targets.get(found)
+        if index is None:
+            index = class_by_targets[found] = len(tables)
+            tables.append(
+                {pair: singles[b] for pair, b in zip(block_pairs, found) if b >= 0}
+            )
+        remap.append(index)
+    class_of = det._class_of
+    if any(new != old for old, new in enumerate(remap)):
+        class_of = {label: remap[index] for label, index in class_of.items()}
+    blocks = frozenset(range(count))
+    inhabited = det._inhabited
+    return BTA._of(
         blocks,
         det.alphabet,
-        {block_of[q] for q in det.leaf_states},
-        transitions,
-        {block_of[q] for q in det.finals},
+        frozenset(block[position[q]] for q in det.leaf_states),
+        frozenset(block[position[q]] for q in det.finals),
+        tuple(tables),
+        class_of,
+        blocks if inhabited is not None and len(inhabited) == size else None,
     )
 
 
 def union_bta(left: BTA, right: BTA) -> BTA:
-    """Disjoint-union BTA for the union (runs stay in one component)."""
+    """Disjoint-union BTA for the union (runs stay in one component).
+    A label's table joins the renamed tables of its two classes, once
+    per distinct pair of classes."""
     left = left.rename_states("L")
     right = right.rename_states("R")
-    transitions: Dict[Label, Dict[Tuple[State, State], Set[State]]] = {}
-    for source in (left, right):
-        for label, by_pair in source._rules.items():
-            bucket = transitions.setdefault(label, {})
-            for pair, targets in by_pair.items():
-                bucket.setdefault(pair, set()).update(targets)
-    return BTA(
-        set(left.states) | set(right.states),
-        left.alphabet | right.alphabet,
-        set(left.leaf_states) | set(right.leaf_states),
-        transitions,
-        set(left.finals) | set(right.finals),
+    alphabet = left.alphabet | right.alphabet
+    # The labels with transitions on the left, then those with
+    # transitions on the right only, then the rest.
+    labels = [label for label, index in left._class_of.items() if left._tables[index]]
+    placed = set(labels)
+    labels.extend(
+        label for label, index in right._class_of.items()
+        if right._tables[index] and label not in placed
+    )
+    placed.update(labels)
+    labels.extend(label for label in alphabet if label not in placed)
+    tables: List[Table] = []
+    class_by_pair: Dict[Tuple[Optional[int], Optional[int]], int] = {}
+    class_of: Dict[Label, int] = {}
+    for label in labels:
+        l_class = left._class_of.get(label)
+        r_class = right._class_of.get(label)
+        if l_class is not None and not left._tables[l_class]:
+            l_class = None
+        if r_class is not None and not right._tables[r_class]:
+            r_class = None
+        # Distinct class pairs give distinct tables: the two renamed
+        # sides share no state.
+        index = class_by_pair.get((l_class, r_class))
+        if index is None:
+            index = class_by_pair[(l_class, r_class)] = len(tables)
+            sides = [left._tables[l_class]] if l_class is not None else []
+            if r_class is not None:
+                sides.append(right._tables[r_class])
+            tables.append(_merged(sides))
+        class_of[label] = index
+    inhabited = None
+    if left._inhabited is not None and right._inhabited is not None:
+        inhabited = left._inhabited | right._inhabited
+    return BTA._of(
+        left.states | right.states,
+        alphabet,
+        left.leaf_states | right.leaf_states,
+        left.finals | right.finals,
+        tuple(tables),
+        class_of,
+        inhabited,
     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.mso import (
     And,
     Child,
@@ -15,6 +16,7 @@ from repro.mso import (
     Not,
     SO,
     Sibling,
+    clear_compile_cache,
     compile_mso,
     forall_fo,
     free_variables,
@@ -25,6 +27,7 @@ from repro.mso import (
     variable_kinds,
 )
 from repro.trees import parse_tree
+from repro.workloads import nested_negation_sentence
 
 
 T = parse_tree('r(a(x y) b("v") a)')
@@ -221,3 +224,26 @@ class TestCompilation:
         sentence = ExistsFO("x", Lab("text", "x"))
         assert mso_sentence_holds(parse_tree('a("v")'), sentence, sigma)
         assert not mso_sentence_holds(parse_tree("a"), sentence, sigma)
+
+
+class TestNegationTower:
+    """The §5.3 tower of benchmark E8: every negation level adds a
+    subset construction.  The exact sizes pin the automata built."""
+
+    SIGMA = ("a", "b")
+
+    def test_floor_sizes(self):
+        sizes = []
+        for depth in (0, 1, 2):
+            clear_compile_cache()
+            bta = compile_mso(nested_negation_sentence(depth), self.SIGMA).bta
+            sizes.append(len(bta.states) + bta.size)
+        assert sizes == [66, 146, 366]
+
+    def test_floor_two_state_counters(self):
+        clear_compile_cache()
+        with obs.recording() as recorder:
+            compile_mso(nested_negation_sentence(2), self.SIGMA)
+        assert recorder.counters["mso.node_states"] == 85
+        assert recorder.counters["mso.negation.output_states"] == 25
+        assert recorder.gauges["mso.max_bta_states"] == 11
