@@ -5,61 +5,25 @@ table, example, or complexity claim) per the experiment index in
 DESIGN.md, printing the series it measures so the harness output can be
 compared against EXPERIMENTS.md.
 
-Every ``benchmark_or_timer`` measurement runs under a :mod:`repro.obs`
-recorder with peak-memory tracking; when the session ends the
-measurements are stamped with run provenance (git sha, dirty flag,
-timestamp, interpreter, repeat count) and
-
-* **merged** into ``BENCH_results.json`` at the repo root — a partial
-  run (one bench file) updates only its own entries and keeps every
-  other same-commit entry instead of clobbering the file;
-* **appended** to ``benchmarks/history/`` as one JSON per run (pruned
-  to the newest ``BENCH_HISTORY_KEEP``), the trajectory store behind
-  ``python -m repro bench-report``.
-
-Environment knobs:
-
-=====================  ==================================================
-``BENCH_REPEATS``      timing samples per measurement (default 1); the
-                       counters/gauges recorded are those of the first,
-                       cold repeat so counter comparisons stay exact
-``BENCH_HISTORY``      set to ``0`` to skip the history append
-``BENCH_HISTORY_KEEP`` how many history runs to retain (default 20)
-``BENCH_MEMORY``       set to ``0`` to skip tracemalloc peak tracking
-=====================  ==================================================
+Every ``benchmark_or_timer`` measurement runs once under a
+:mod:`repro.obs` recorder.  When the session ends, ``BENCH_results.json``
+at the repo root is overwritten with one entry per measurement, keyed
+and sorted by test id: its wall ``seconds`` and its exact ``counters``
+and ``gauges``.  ``tests/golden/regen_bench_counters.sh`` drops the
+seconds to regenerate the committed golden,
+``tests/golden/bench-counters.json``.
 """
 
-import contextlib
+import json
 import os
 import time
 
 import pytest
 
 from repro import obs
-from repro.obs.bench import (
-    BenchEntry,
-    BenchHistory,
-    BenchRun,
-    DEFAULT_HISTORY_KEEP,
-    collect_provenance,
-    load_run,
-    merge_runs,
-    write_run,
-)
 
-#: One entry per benchmark_or_timer measurement, in execution order.
-_ENTRIES = []
-
-
-def _repeats():
-    try:
-        return max(1, int(os.environ.get("BENCH_REPEATS", "1")))
-    except ValueError:
-        return 1
-
-
-def _memory_tracking():
-    return os.environ.get("BENCH_MEMORY", "1") != "0"
+#: One entry per benchmark_or_timer measurement, keyed by test id.
+_ENTRIES = {}
 
 
 def report(title, rows, header=None):
@@ -80,88 +44,33 @@ def wall_time(fn, *args, **kwargs):
 
 @pytest.fixture
 def benchmark_or_timer(benchmark, request):
-    """Run a thunk under pytest-benchmark when it is active, otherwise
-    with plain wall-clock timing; returns the first measured seconds
-    either way, so the bench files double as plain tests.
-
-    The thunk runs ``BENCH_REPEATS`` times, each repeat under a fresh
-    :mod:`repro.obs` recorder (with tracemalloc peak tracking feeding
-    the ``mem.peak_kb`` gauge).  All timing samples are kept; the
-    counters and gauges stored are those of the *first* repeat — the
-    cold one, comparable across runs regardless of the repeat count —
-    and the whole measurement is appended to the session's stamped
-    ``BENCH_results.json`` / history run."""
+    """Run a thunk once under a :mod:`repro.obs` recorder and return its
+    seconds: through pytest-benchmark when it is active, otherwise with
+    plain wall-clock timing, so the bench files double as plain tests.
+    The seconds, counters and gauges go into ``BENCH_results.json``."""
 
     def run(fn):
-        samples = []
-        counters = {}
-        gauges = {}
-        labeled = {}
-        span_profile = []
-        histograms = {}
-        for repeat in range(_repeats()):
-            with obs.recording() as recorder:
-                memory = (
-                    obs.track_peak_memory()
-                    if _memory_tracking()
-                    else contextlib.nullcontext()
-                )
-                with memory:
-                    if benchmark.enabled and repeat == 0:
-                        benchmark.pedantic(fn, rounds=1, iterations=1)
-                        seconds = benchmark.stats.stats.mean
-                    else:
-                        _result, seconds = wall_time(fn)
-            samples.append(seconds)
-            if repeat == 0:
-                counters = dict(recorder.counters)
-                gauges = dict(recorder.gauges)
-                # First-repeat attribution + span shape: what
-                # ``bench-report --explain`` and ``trace-diff`` use to
-                # name the rules and spans behind a counter delta.
-                labeled = obs.labeled_to_jsonable(recorder.labeled)
-                span_profile = obs.span_profile_rows(recorder.spans)
-                # Distribution summaries (p50/p99/max), the input to the
-                # tail-latency detector of bench-report.
-                histograms = {
-                    name: histogram.summary()
-                    for name, histogram in recorder.histograms.items()
-                }
-        _ENTRIES.append(
-            BenchEntry(
-                test=request.node.nodeid,
-                samples=samples,
-                counters=counters,
-                gauges=gauges,
-                labeled=labeled,
-                span_profile=span_profile,
-                histograms=histograms,
-            )
-        )
-        return samples[0]
+        with obs.recording() as recorder:
+            if benchmark.enabled:
+                benchmark.pedantic(fn, rounds=1, iterations=1)
+                seconds = benchmark.stats.stats.mean
+            else:
+                _result, seconds = wall_time(fn)
+        _ENTRIES[request.node.nodeid] = {
+            "seconds": seconds,
+            "counters": dict(recorder.counters),
+            "gauges": dict(recorder.gauges),
+        }
+        return seconds
 
     return run
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Stamp, merge, and persist the collected measurements."""
+    """Overwrite ``BENCH_results.json`` with this session's entries."""
     if not _ENTRIES:
         return
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    provenance = collect_provenance(
-        timestamp=time.time(), repeats=_repeats(), repo_root=root
-    )
-    fresh = BenchRun(
-        provenance=provenance,
-        entries={entry.test: entry for entry in _ENTRIES},
-    )
-    results_path = os.path.join(root, "BENCH_results.json")
-    merged = merge_runs(load_run(results_path), fresh)
-    write_run(merged, results_path)
-    if os.environ.get("BENCH_HISTORY", "1") != "0":
-        try:
-            keep = int(os.environ.get("BENCH_HISTORY_KEEP", str(DEFAULT_HISTORY_KEEP)))
-        except ValueError:
-            keep = DEFAULT_HISTORY_KEEP
-        history = BenchHistory(os.path.join(root, "benchmarks", "history"), keep=keep)
-        history.append(merged)
+    with open(os.path.join(root, "BENCH_results.json"), "w", encoding="utf-8") as handle:
+        json.dump(_ENTRIES, handle, indent=2, sort_keys=True)
+        handle.write("\n")

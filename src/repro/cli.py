@@ -58,12 +58,6 @@ Commands::
                               [--format text|events]
     python -m repro top       [CORPUS_DIR|STATUS_FILE] [--interval S]
                               [--once]
-    python -m repro bench-report [--baseline REF] [--candidate REF]
-                              [--history DIR] [--format text|json|markdown]
-                              [--fail-on-regression] [--threshold FRAC]
-                              [--timing-floor SECONDS] [--limit N]
-                              [--output FILE] [--explain]
-                              [--log FILE.jsonl] [--log-level LEVEL]
     python -m repro explain   TRANSDUCER SCHEMA [--protect LABEL ...]
                               [--top N] [--format text|json|markdown]
                               [--output FILE]
@@ -71,7 +65,7 @@ Commands::
                               [--format text|json|markdown] [--limit N]
                               [--output FILE]
     python -m repro report    [--trace FILE.json] [--log FILE.jsonl]
-                              [--history DIR] [--corpus FILE.jsonl]
+                              [--corpus FILE.jsonl]
                               [--baseline-trace FILE.json]
                               [--journal DIR]
                               [--title T] [--output FILE.html]
@@ -136,8 +130,8 @@ events emitted inside ``batch`` worker processes; ``--metrics FILE``
 writes the run's counters, gauges, latency histograms, and rate
 meters as Prometheus/OpenMetrics text exposition (any sampled time
 series additionally lands as ``FILE.timeline.jsonl``).  ``report``
-bundles a trace, a log, the benchmark trajectory, and a corpus JSONL
-report into one dependency-free HTML file for CI artifacts.
+bundles a trace, a log, and a corpus JSONL report into one
+dependency-free HTML file for CI artifacts.
 
 ``top`` is the live monitoring surface over a running ``batch``: the
 engine rewrites a small status JSON (``CORPUS_DIR/.repro-status.json``
@@ -148,25 +142,14 @@ queue depth, cache hits, verdict counts, and the p50/p99 job latency.
 ``S`` seconds gets a ``faulthandler`` stack dump captured inside the
 worker and folded into the ``--log`` JSONL as a structured WARNING.
 
-``bench-report`` loads the benchmark trajectory recorded by ``pytest
-benchmarks/`` into ``benchmarks/history/``, compares a candidate run
-against a baseline (noise-aware timing detector + exact work-counter
-detector; see :mod:`repro.obs.bench`), renders the trajectory in the
-chosen format, and — with ``--fail-on-regression`` — exits ``1`` on
-confirmed regressions, which is the CI gate.  ``REF`` accepts
-``latest``, ``previous``, a negative index (``-2``), a git sha prefix,
-or a path to a stored run JSON (e.g. a committed baseline).  With
-``--explain`` every regression is attributed: the top contributing
-rules by labeled-counter delta and the hottest diverging span path.
-
 ``explain`` answers *where the states go*: it runs the full pair
 analysis and folds the labeled counter registry (per-rule product
 states, per-label inverse-type vectors, per-pass dataflow work; see
 :mod:`repro.obs.attr`) into hot-rule tables with coverage shares.
 ``trace-diff`` answers *what changed between two runs*: it aligns two
-exported run files — Chrome traces, profile snapshots, or bench run
-JSONs, in any combination — by span name-path and counter name, and
-reports duration, counter, and attribution deltas worst-first (see
+exported run files — Chrome traces, profile snapshots, or journals,
+in any combination — by span name-path and counter name, and reports
+duration, counter, and attribution deltas worst-first (see
 :mod:`repro.obs.diff`).
 
 Only the actual products (XML, JSON, reports) go to stdout; error
@@ -178,16 +161,15 @@ Exit status, for CI use:
 0     success (``check``: safe; ``lint``: nothing at/above the
       ``--fail-on`` threshold; ``validate``: document valid;
       ``batch``: every job safe and clean at the threshold;
-      ``bench-report``: no confirmed regression; ``explain`` /
-      ``trace-diff``: report rendered)
+      ``explain`` / ``trace-diff``: report rendered)
 1     analysis verdict failed (``check``: unsafe; ``lint``:
       findings at/above threshold; ``validate``: invalid document;
       ``subschema``: empty safe sub-schema; ``batch``: some job
       unsafe, errored, timed out, or with findings at/above the
-      threshold; ``bench-report --fail-on-regression``: confirmed
-      regressions)
-2     bad input (malformed/missing files, missing history,
-      malformed corpus/manifest, ``CliError``; ``submit``: also an
+      threshold)
+2     bad input (missing files; malformed or non-UTF-8 schema,
+      transducer or XML files, reported as ``PATH:LINE``; malformed
+      corpus/manifest, ``CliError``; ``submit``: also an
       unreachable server or a server-side discovery failure)
 3     ``submit`` only: the server refused admission — the bounded
       queue is at its high-water mark (HTTP's 429); retry later
@@ -203,6 +185,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 import time
@@ -222,7 +205,7 @@ from .lint import SEVERITIES, SourceInfo, render_json, render_text, severity_ord
 from .lint.dataflow import NO_PREFILTER_ENV, pass_names
 from .schema.dtd import DTD, dtd_to_nta
 from .trees.parser import serialize_tree
-from .trees.xmlio import tree_to_xml, xml_to_tree
+from .trees.xmlio import XmlSyntaxError, tree_to_xml, xml_to_tree
 
 __all__ = [
     "main",
@@ -288,12 +271,25 @@ class LoadedTransducer(NamedTuple):
     state_lines: Dict[str, int]
 
 
+def _open_utf8(path: str) -> io.StringIO:
+    """The file as ``open(path, encoding="utf-8")`` reads it, except that
+    a byte that is not UTF-8 is a :class:`CliError` at its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        line = data.count(b"\n", 0, error.start) + 1
+        raise CliError("%s:%d: not valid UTF-8" % (path, line)) from None
+    return io.StringIO(text, newline=None)
+
+
 def load_schema_ex(path: str) -> LoadedSchema:
     """Parse the line-oriented schema format, keeping source lines."""
     content: Dict[str, str] = {}
     label_lines: Dict[str, int] = {}
     start: Set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with _open_utf8(path) as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -339,7 +335,7 @@ def load_transducer_ex(path: str) -> LoadedTransducer:
         states.add(state)
         state_lines.setdefault(state, number)
 
-    with open(path, encoding="utf-8") as handle:
+    with _open_utf8(path) as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -407,8 +403,13 @@ def _source_info(
 
 
 def _load_document(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return xml_to_tree(handle.read())
+    with _open_utf8(path) as handle:
+        text = handle.read()
+    try:
+        return xml_to_tree(text)
+    except XmlSyntaxError as error:
+        line = text.count("\n", 0, error.position) + 1
+        raise CliError("%s:%d: %s" % (path, line, error)) from None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -948,59 +949,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 1 if int(fields.get("failing", 0)) else 0
 
 
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from .obs import bench
-
-    with contextlib.ExitStack() as stack:
-        recorder: Optional[obs.Recorder] = None
-        if getattr(args, "log", None):
-            recorder = stack.enter_context(
-                obs.recording(log_level=_event_level(args))
-            )
-            stack.enter_context(obs.span("bench.report"))
-        history = bench.BenchHistory(args.history)
-        runs = history.load()
-        obs.info("bench.report", "history loaded",
-                 runs=len(runs), history=args.history)
-        try:
-            candidate = bench.resolve_ref(runs, args.candidate)
-            baseline = bench.resolve_ref(runs, args.baseline or "previous",
-                                         relative_to=candidate)
-        except ValueError as error:
-            obs.error("bench.report", "ref resolution failed", error=str(error))
-            raise CliError(str(error)) from None
-        comparison = bench.compare_runs(
-            baseline,
-            candidate,
-            threshold=args.threshold,
-            timing_floor_s=args.timing_floor,
-        )
-        obs.info(
-            "bench.report", "runs compared",
-            regressions=len(comparison.regressions),
-            improvements=len(comparison.improvements),
-        )
-        rendered = bench.render_report(
-            runs,
-            comparison,
-            fmt=args.format,
-            limit=args.limit,
-            explain=args.explain,
-            baseline_ref=args.baseline or "previous",
-            candidate_ref=args.candidate or "latest",
-        )
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-            print("wrote %s" % args.output, file=sys.stderr)
-        else:
-            sys.stdout.write(rendered)
-    _finish_observation(recorder, args)
-    if args.fail_on_regression and comparison.has_regressions:
-        return 1
-    return 0
-
-
 def _write_or_print(rendered: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -1254,7 +1202,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         rendered = obs_html.build_report(
             trace_path=args.trace,
             log_path=args.log,
-            history_dir=args.history,
             corpus_path=args.corpus,
             baseline_trace_path=args.baseline_trace,
             journal_path=args.journal,
@@ -1678,58 +1625,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.set_defaults(func=_cmd_top)
 
-    bench_report = sub.add_parser(
-        "bench-report",
-        help="compare benchmark runs from the history store and flag "
-        "regressions (timing + exact work counters)",
-    )
-    bench_report.add_argument(
-        "--history", default="benchmarks/history", metavar="DIR",
-        help="history directory written by pytest benchmarks/ "
-        "(default: benchmarks/history)",
-    )
-    bench_report.add_argument(
-        "--baseline", metavar="REF",
-        help="baseline run: latest | previous | -N | sha prefix | path "
-        "to a run JSON (default: previous)",
-    )
-    bench_report.add_argument(
-        "--candidate", metavar="REF",
-        help="candidate run, same forms (default: latest)",
-    )
-    bench_report.add_argument(
-        "--format", choices=("text", "json", "markdown"), default="text",
-        help="output format (default: text)",
-    )
-    bench_report.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit 1 when confirmed regressions are found (CI gate)",
-    )
-    bench_report.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRAC",
-        help="relative timing threshold (default: 0.25 = +25%%)",
-    )
-    bench_report.add_argument(
-        "--timing-floor", type=float, default=0.05, metavar="SECONDS",
-        help="skip timing comparison for tests whose medians are below "
-        "this (default: 0.05s); work counters are always compared",
-    )
-    bench_report.add_argument(
-        "--limit", type=int, default=0, metavar="N",
-        help="show at most N rows per section (default: all)",
-    )
-    bench_report.add_argument(
-        "--output", metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
-    bench_report.add_argument(
-        "--explain", action="store_true",
-        help="attribute each regression: top contributing rules from the "
-        "labeled counters and the hottest diverging span path",
-    )
-    _add_log_flags(bench_report)
-    bench_report.set_defaults(func=_cmd_bench_report)
-
     explain = sub.add_parser(
         "explain",
         help="attribute a pair's recorded work to the transducer rules "
@@ -1755,7 +1650,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_diff = sub.add_parser(
         "trace-diff",
         help="structurally diff two exported runs (Chrome trace, profile "
-        "snapshot, or bench run JSON), worst divergence first",
+        "snapshot, or journal), worst divergence first",
     )
     trace_diff.add_argument("run_a", metavar="A.json")
     trace_diff.add_argument("run_b", metavar="B.json")
@@ -1776,7 +1671,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="render a self-contained HTML observability report "
-        "(span waterfall, counters, log, bench trends, corpus verdicts)",
+        "(span waterfall, counters, log, corpus verdicts)",
     )
     report.add_argument(
         "--trace", metavar="FILE.json",
@@ -1785,11 +1680,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--log", metavar="FILE.jsonl",
         help="structured log JSONL to include (written by --log)",
-    )
-    report.add_argument(
-        "--history", default="benchmarks/history", metavar="DIR",
-        help="benchmark history directory for trend sparklines "
-        "(default: benchmarks/history)",
     )
     report.add_argument(
         "--corpus", metavar="FILE.jsonl",

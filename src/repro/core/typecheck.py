@@ -344,7 +344,7 @@ def inverse_type_nta(
     worst case — the EXPTIME construction); horizontal languages are
     DFAs computing the running product of child summaries.
     """
-    with obs.span("typecheck.inverse_type") as sp, obs.track_peak_memory():
+    with obs.span("typecheck.inverse_type") as sp:
         result = _inverse_type_nta_impl(transducer, output_dtd, input_alphabet, accept_valid)
         sp.set("states", len(result.states))
         obs.observe("typecheck.inverse_type_size", len(result.states))
@@ -506,7 +506,7 @@ def typechecks(
     from ..lint.dataflow import log_skip, resolve_prefilter
 
     summary = resolve_prefilter(transducer, input_schema, prefilter)
-    with obs.span("typecheck.decide") as sp, obs.track_peak_memory():
+    with obs.span("typecheck.decide") as sp:
         sigma: Iterable[str] = input_schema.alphabet
         if summary is not None:
             if summary.has_pass("label-flow"):

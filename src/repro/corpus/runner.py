@@ -965,7 +965,7 @@ def run_corpus(
                 obs.Snapshot.from_dict(result.observations).merge_into(recorder)
             if not result.cache_hit:
                 # Per-job latency distribution: the batch-level p50/p99
-                # the dashboard and bench entries summarize.
+                # the dashboard summarizes.
                 recorder.observe("corpus.job.ms", result.wall_time_s * 1000.0)
             # Per-job rollups: the batch's wall time and work, labeled
             # by the job that spent it (worker labeled counters merged

@@ -403,7 +403,7 @@ def compile_mso(
     sigma_tuple = tuple(sorted(set(sigma) - {TEXT}))
     if not obs.enabled():
         return _compile(formula, sigma_tuple, trim)
-    with obs.span("mso.compile") as sp, obs.track_peak_memory():
+    with obs.span("mso.compile") as sp:
         sp.set("formula_size", formula_size(formula))
         sp.set("negation_nesting", negation_nesting(formula))
         sp.set("sigma", len(sigma_tuple))

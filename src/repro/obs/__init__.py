@@ -36,30 +36,17 @@ When no recorder is active every instrumentation point is a single
 ContextVar read and truthiness check — the E5 family shows no
 measurable slowdown with instrumentation disabled.
 
-CLI surface: ``python -m repro profile TDX SCHEMA``, the
-``--trace FILE`` / ``--stats`` flags on ``check`` and ``lint``, and
-``python -m repro bench-report`` over the stored benchmark trajectory
-(see :mod:`repro.obs.bench`).
+CLI surface: ``python -m repro profile TDX SCHEMA`` and the
+``--trace FILE`` / ``--stats`` flags on ``check`` and ``lint``.
 """
 
-from . import attr, bench, diff, flight
+from . import attr, diff, flight
 from .attr import (
     AttributionRow,
     AttributionTable,
     attribution_tables,
     group_by_label,
     render_attribution,
-)
-from .bench import (
-    BenchEntry,
-    BenchHistory,
-    BenchRun,
-    Comparison,
-    Finding,
-    RunProvenance,
-    collect_provenance,
-    compare_runs,
-    render_report,
 )
 from .export import (
     from_dict,
@@ -100,7 +87,6 @@ from .diff import (
     profile_from_payload,
     profile_from_recorder,
     render_diff,
-    span_profile_rows,
 )
 from .flight import FlightRecorder
 from .journal import (
@@ -116,7 +102,6 @@ from .journal import (
     scan_journal,
     tail_records,
 )
-from .memory import PEAK_MEMORY_GAUGE, track_peak_memory
 from .metrics import (
     Histogram,
     Meter,
@@ -155,7 +140,6 @@ from .snapshot import (
 
 __all__ = [
     "attr",
-    "bench",
     "diff",
     "flight",
     "FlightRecorder",
@@ -184,23 +168,11 @@ __all__ = [
     "profile_from_payload",
     "profile_from_recorder",
     "render_diff",
-    "span_profile_rows",
     "LabelKey",
     "label_key",
     "labeled_to_jsonable",
     "labeled_from_jsonable",
     "merge_labeled",
-    "BenchEntry",
-    "BenchHistory",
-    "BenchRun",
-    "Comparison",
-    "Finding",
-    "RunProvenance",
-    "collect_provenance",
-    "compare_runs",
-    "render_report",
-    "track_peak_memory",
-    "PEAK_MEMORY_GAUGE",
     "Span",
     "Snapshot",
     "Recorder",

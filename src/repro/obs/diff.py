@@ -15,8 +15,8 @@ first,
 
 Inputs are whatever the repo already exports: a Chrome trace written
 by ``--trace``, a ``repro profile --json`` / ``Snapshot.to_dict``
-document, or a ``BENCH_results.json`` / history run (entries
-aggregate).  :func:`load_run_profile` sniffs the format.
+document, or a crash-safe journal.  :func:`load_run_profile` sniffs the
+format.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "profile_from_payload",
     "load_run_profile",
     "diff_profiles",
-    "span_profile_rows",
     "render_diff",
 ]
 
@@ -52,13 +51,6 @@ class SpanStat:
     path: str
     count: int = 0
     duration_ns: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "count": self.count,
-            "duration_ns": self.duration_ns,
-        }
 
 
 @dataclass
@@ -102,23 +94,6 @@ def profile_from_recorder(recorder: Recorder, label: str = "") -> RunProfile:
     return profile
 
 
-def span_profile_rows(spans: List[Span]) -> List[Dict[str, Any]]:
-    """The JSON rows a :class:`BenchEntry` stores: one
-    ``{"path", "count", "duration_ns"}`` per span name-path, sorted by
-    path for byte stability."""
-    profile = profile_from_spans(spans)
-    return [profile.spans[path].to_dict() for path in sorted(profile.spans)]
-
-
-def _spans_from_rows(profile: RunProfile, rows: Any) -> None:
-    for row in rows or ():
-        stat = profile.spans.setdefault(
-            str(row["path"]), SpanStat(path=str(row["path"]))
-        )
-        stat.count += int(row.get("count", 1))
-        stat.duration_ns += int(row.get("duration_ns", 0))
-
-
 def _profile_from_chrome(payload: Mapping[str, Any], label: str) -> RunProfile:
     from .export import spans_from_chrome_trace
 
@@ -139,32 +114,13 @@ def _profile_from_chrome(payload: Mapping[str, Any], label: str) -> RunProfile:
     return profile
 
 
-def _profile_from_bench_run(payload: Mapping[str, Any], label: str) -> RunProfile:
-    """A bench run aggregates over its entries: counters/labeled add,
-    gauges keep the max — the run-level shape two CI runs compare by."""
-    profile = RunProfile(label=label)
-    for entry in payload.get("results", ()):
-        for name, value in (entry.get("counters") or {}).items():
-            profile.counters[name] = profile.counters.get(name, 0) + float(value)
-        for name, value in (entry.get("gauges") or {}).items():
-            if name not in profile.gauges or profile.gauges[name] < float(value):
-                profile.gauges[name] = float(value)
-        merge_labeled(
-            profile.labeled, labeled_from_jsonable(entry.get("labeled") or {})
-        )
-        _spans_from_rows(profile, entry.get("span_profile"))
-    return profile
-
-
 def profile_from_payload(payload: Mapping[str, Any], label: str = "") -> RunProfile:
     """Build a profile from any exported-run JSON document the repo
-    writes (Chrome trace, profile/Snapshot document, bench run)."""
+    writes (Chrome trace, profile/Snapshot document)."""
     from .export import span_from_dict
 
     if "traceEvents" in payload:
         return _profile_from_chrome(payload, label)
-    if "results" in payload:
-        return _profile_from_bench_run(payload, label)
     # A ``repro profile`` export / Snapshot.to_dict document.
     profile = profile_from_spans(
         [span_from_dict(dict(span)) for span in payload.get("spans", ())],
@@ -183,12 +139,12 @@ def profile_from_payload(payload: Mapping[str, Any], label: str = "") -> RunProf
 def load_run_profile(path: str, label: str = "") -> RunProfile:
     """Read and sniff one exported-run artifact.
 
-    Accepts a Chrome trace, a profile/Snapshot export, a bench run
-    JSON, or a crash-safe journal (a ``serve --journal-dir`` / ``batch
-    --journal`` directory, or one segment file) — a journal is
-    replayed through :func:`repro.obs.journal.replay_journal` and its
-    merged Snapshot profiled, so ``trace-diff`` can compare a dead
-    process's run against a live trace.  Anything else — notably the
+    Accepts a Chrome trace, a profile/Snapshot export, or a crash-safe
+    journal (a ``serve --journal-dir`` / ``batch --journal`` directory,
+    or one segment file) — a journal is replayed through
+    :func:`repro.obs.journal.replay_journal` and its merged Snapshot
+    profiled, so ``trace-diff`` can compare a dead process's run
+    against a live trace.  Anything else — notably the
     observability layer's *own* line-oriented artifacts (a
     ``--metrics`` timeline, a ``--log`` JSONL, a batch status file) —
     raises a ValueError naming what the file actually is and what
@@ -225,10 +181,7 @@ def _describe_non_profile(text: str) -> str:
     """Why a non-JSON file is not a run profile, by sniffing."""
     from .metrics import TIMELINE_KIND, sniff_jsonl_kind
 
-    expected = (
-        "expected a Chrome trace, a profile/Snapshot export, or a "
-        "bench run JSON"
-    )
+    expected = "expected a Chrome trace or a profile/Snapshot export"
     kind = sniff_jsonl_kind(text)
     if kind == TIMELINE_KIND:
         return (

@@ -15,9 +15,6 @@ that a CI run can attach as an artifact and a human can open anywhere:
   trace-diff``;
 * **structured log excerpt** from a ``--log`` JSONL file, levels
   badged;
-* **benchmark sparklines** from the :mod:`repro.obs.bench` history
-  store (median seconds per test across runs, oldest → newest), or an
-  explicit "no benchmark history yet" notice when the store is empty;
 * **corpus verdict summary** from a ``batch --format json`` JSONL
   report.
 
@@ -34,11 +31,8 @@ from __future__ import annotations
 
 import html as _html
 import json
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .bench.history import BenchHistory, BenchRun
-from .bench.report import trajectory
 from .export import spans_from_chrome_trace
 from .recorder import Span
 
@@ -47,7 +41,6 @@ __all__ = ["build_report", "render_report_html", "snapshot_report"]
 #: Row caps per section — the artifact must stay well under 1 MB.
 MAX_WATERFALL_ROWS = 400
 MAX_LOG_ROWS = 500
-MAX_SPARKLINES = 40
 
 _STATUS_CLASS = {
     "safe": "good",
@@ -132,12 +125,6 @@ code { font-size: 0.85em; }
   border-radius: 6px; padding: 0.45rem 0.8rem;
 }
 .badge b { font-size: 1.2rem; margin-right: 0.35rem; }
-.spark { display: block; }
-.spark polyline {
-  fill: none; stroke: var(--accent); stroke-width: 2;
-  stroke-linejoin: round; stroke-linecap: round;
-}
-.spark circle { fill: var(--accent); }
 .hstrip { display: inline-flex; align-items: flex-end; gap: 1px; height: 16px; }
 .hbar {
   display: inline-block; width: 5px; background: var(--accent);
@@ -479,72 +466,6 @@ def _section_log(events: Optional[List[Dict[str, Any]]]) -> str:
     return "".join(out)
 
 
-def _svg_sparkline(values: List[Optional[float]]) -> str:
-    """One inline SVG sparkline (single series — the row names it, so
-    no legend)."""
-    points = [(i, v) for i, v in enumerate(values) if v is not None]
-    if not points:
-        return ""
-    width, height, pad = 180, 36, 4
-    low = min(v for _, v in points)
-    high = max(v for _, v in points)
-    span = (high - low) or 1.0
-    xs = max(len(values) - 1, 1)
-
-    def xy(i: int, v: float) -> Tuple[float, float]:
-        x = pad + (width - 2 * pad) * i / xs
-        y = height - pad - (height - 2 * pad) * (v - low) / span
-        return x, y
-
-    coords = " ".join("%.1f,%.1f" % xy(i, v) for i, v in points)
-    lx, ly = xy(*points[-1])
-    return (
-        '<svg class="spark" width="%d" height="%d" viewBox="0 0 %d %d" '
-        'role="img" aria-label="median seconds, oldest to newest">'
-        '<polyline points="%s"/><circle cx="%.1f" cy="%.1f" r="3"/></svg>'
-        % (width, height, width, height, coords, lx, ly)
-    )
-
-
-def _section_bench(runs: List[BenchRun]) -> str:
-    if not runs:
-        return _placeholder(
-            "No benchmark history yet — run pytest benchmarks/ to record "
-            "the first trajectory point."
-        )
-    series = trajectory(runs)
-    names = list(series)[:MAX_SPARKLINES]
-    rows = []
-    for name in names:
-        values = series[name]
-        latest = next(
-            (v for v in reversed(values) if v is not None), None
-        )
-        rows.append(
-            "<tr><td><code>%s</code></td><td>%s</td>"
-            '<td class="num">%s</td></tr>'
-            % (
-                _esc(name),
-                _svg_sparkline(values),
-                "%.4f s" % latest if latest is not None else "—",
-            )
-        )
-    out = [
-        '<p class="note">%d runs, oldest → newest; line is the '
-        "median seconds per test.</p>" % len(runs),
-        "<table><tr><th>benchmark</th><th>trend</th>"
-        '<th class="num">latest</th></tr>',
-        "".join(rows),
-        "</table>",
-    ]
-    if len(series) > len(names):
-        out.append(
-            '<p class="note">showing %d of %d benchmarks</p>'
-            % (len(names), len(series))
-        )
-    return "".join(out)
-
-
 def _section_corpus(corpus: Optional[Dict[str, Any]]) -> str:
     if corpus is None:
         return _placeholder(
@@ -600,7 +521,6 @@ def render_report_html(
     *,
     trace: Optional[Dict[str, Any]] = None,
     log_events: Optional[List[Dict[str, Any]]] = None,
-    bench_runs: Optional[List[BenchRun]] = None,
     corpus: Optional[Dict[str, Any]] = None,
     diff: Optional[Any] = None,
     title: str = "repro observability report",
@@ -619,7 +539,6 @@ def render_report_html(
         ),
         ("Trace diff vs baseline", _section_trace_diff(diff)),
         ("Structured log", _section_log(log_events)),
-        ("Benchmark trajectory", _section_bench(bench_runs or [])),
         ("Latest corpus audit", _section_corpus(corpus)),
     ]
     body = "".join(
@@ -664,7 +583,6 @@ def snapshot_report(
     return render_report_html(
         trace=to_chrome_trace(recorder),
         log_events=events_to_dicts(recorder),
-        bench_runs=None,
         corpus=corpus,
         diff=None,
         title=title,
@@ -694,7 +612,6 @@ def build_report(
     *,
     trace_path: Optional[str] = None,
     log_path: Optional[str] = None,
-    history_dir: Optional[str] = None,
     corpus_path: Optional[str] = None,
     baseline_trace_path: Optional[str] = None,
     journal_path: Optional[str] = None,
@@ -703,10 +620,9 @@ def build_report(
 ) -> str:
     """Load every available input from disk and render the document.
 
-    An explicitly-named file that does not exist raises ``OSError``
-    (the caller asked for it, so silence would lie); an absent
-    *default* — no history directory yet — renders its placeholder.
-    ``baseline_trace_path`` (requires ``trace_path`` or
+    A named file that does not exist raises ``OSError`` (the caller
+    asked for it, so silence would lie); an input not named renders its
+    placeholder.  ``baseline_trace_path`` (requires ``trace_path`` or
     ``journal_path``) adds the trace diff section against that
     reference run.
 
@@ -744,9 +660,6 @@ def build_report(
                 for line in handle
                 if line.strip()
             ]
-    bench_runs: List[BenchRun] = []
-    if history_dir and os.path.isdir(history_dir):
-        bench_runs = BenchHistory(history_dir).load()
     if corpus_path:
         corpus = _load_corpus_jsonl(corpus_path)
     diff = None
@@ -762,7 +675,6 @@ def build_report(
     return render_report_html(
         trace=trace,
         log_events=log_events,
-        bench_runs=bench_runs,
         corpus=corpus,
         diff=diff,
         title=title,

@@ -154,8 +154,8 @@ class Histogram:
         return self.maximum
 
     def summary(self) -> Dict[str, float]:
-        """The p50/p90/p99 summary stored by bench entries and shown by
-        the exporters (key-sorted for byte-stable serialization)."""
+        """The p50/p90/p99 summary shown by the exporters and the status
+        file (key-sorted for byte-stable serialization)."""
         return {
             "count": float(self.count),
             "max": float(self.maximum or 0.0),

@@ -28,7 +28,12 @@ __all__ = ["tree_to_xml", "xml_to_tree", "XmlSyntaxError"]
 
 
 class XmlSyntaxError(ValueError):
-    """Raised when the input is not in the supported XML subset."""
+    """Raised when the input is not in the supported XML subset;
+    ``position`` is the character offset where parsing stopped."""
+
+    def __init__(self, message: str, position: int = 0) -> None:
+        super().__init__(message)
+        self.position = position
 
 
 _ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"), ("'", "&apos;")]
@@ -89,7 +94,7 @@ class _XmlParser:
         self.pos = 0
 
     def error(self, message: str) -> XmlSyntaxError:
-        return XmlSyntaxError("%s at position %d" % (message, self.pos))
+        return XmlSyntaxError("%s at position %d" % (message, self.pos), self.pos)
 
     def skip_prolog(self) -> None:
         self.skip_ws()

@@ -119,6 +119,50 @@ class TestLoaders:
         assert "%s:3" % path in str(excinfo.value)
         assert "text" in str(excinfo.value)
 
+    def test_non_utf8_schema_points_at_line(self, tmp_path):
+        path = tmp_path / "bad.schema"
+        path.write_bytes(b"start recipes\nrecipes -> recipe\xff*\n")
+        with pytest.raises(CliError) as excinfo:
+            load_schema(str(path))
+        assert str(excinfo.value) == "%s:2: not valid UTF-8" % path
+
+    def test_non_utf8_transducer_points_at_line(self, tmp_path):
+        path = tmp_path / "bad.tdx"
+        path.write_bytes(b"initial q0\n# caf\xe9\nrule q0 a -> a\n")
+        with pytest.raises(CliError) as excinfo:
+            load_transducer(str(path))
+        assert str(excinfo.value) == "%s:2: not valid UTF-8" % path
+
+    def test_crlf_lines_count_like_lf(self, tmp_path):
+        path = tmp_path / "bad.tdx"
+        path.write_bytes(b"initial q0\r\nrule q0 a -> a\r\ntext\r\n")
+        with pytest.raises(CliError) as excinfo:
+            load_transducer(str(path))
+        assert "%s:3" % path in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "command", ["check", "lint", "subschema", "profile", "explain"]
+    )
+    def test_non_utf8_transducer_exits_2(self, files, tmp_path, capsys, command):
+        path = tmp_path / "bad.tdx"
+        path.write_bytes(b"initial q0\nrule q0 recipes -> \xff\n")
+        assert main([command, str(path), files["schema"]]) == 2
+        assert "%s:2: not valid UTF-8" % path in capsys.readouterr().err
+
+    def test_non_utf8_schema_exits_2(self, files, tmp_path, capsys):
+        path = tmp_path / "bad.schema"
+        path.write_bytes(b"\xff\xfestart recipes\n")
+        assert main(["check", files["select"], str(path)]) == 2
+        assert "%s:1: not valid UTF-8" % path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "transform"])
+    def test_non_utf8_document_exits_2(self, files, tmp_path, capsys, command):
+        path = tmp_path / "bad.xml"
+        path.write_bytes(b"<recipes>\n<recipe>\n<description>\xff")
+        first = files["schema"] if command == "validate" else files["select"]
+        assert main([command, first, str(path)]) == 2
+        assert "%s:3: not valid UTF-8" % path in capsys.readouterr().err
+
 
 class TestCommands:
     def test_validate_ok(self, files, capsys):
@@ -130,6 +174,15 @@ class TestCommands:
         bad.write_text("<recipes><comment>x</comment></recipes>")
         assert main(["validate", files["schema"], str(bad)]) == 1
         assert "invalid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "transform"])
+    def test_malformed_document_exits_2(self, files, tmp_path, capsys, command):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<recipes>\n  <recipe>\n</recipes>\n")
+        first = files["schema"] if command == "validate" else files["select"]
+        assert main([command, first, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "%s:3: mismatched closing tag </recipes> for <recipe>" % bad in err
 
     def test_transform(self, files, capsys):
         assert main(["transform", files["select"], files["document"]]) == 0

@@ -187,6 +187,44 @@ class TestDisabledMode:
         assert is_text_preserving(transducer, schema)
 
 
+class TestRecordingNeverTracesMemory:
+    """A recorder must not start tracemalloc: it made the exponential
+    procedures several times slower whenever one was installed."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_tracemalloc(self, monkeypatch):
+        import tracemalloc
+
+        def start(*args):
+            raise AssertionError("tracemalloc.start() called under a recorder")
+
+        monkeypatch.setattr(tracemalloc, "start", start)
+
+    def test_mso_compile(self):
+        from repro.mso.ast import ExistsFO, Lab, Not
+        from repro.mso.compile import clear_compile_cache, compile_mso
+
+        clear_compile_cache()
+        with obs.recording() as recorder:
+            compile_mso(Not(ExistsFO("x", Lab("a", "x"))), ("a",))
+        assert recorder.gauges["mso.compile.automaton_states"] >= 1
+
+    def test_typecheck(self):
+        from repro.core.topdown import TopDownTransducer
+        from repro.core.typecheck import typechecks
+        from repro.schema.dtd import DTD, dtd_to_nta
+
+        dtd = DTD({"r": "text"}, start={"r"})
+        identity = TopDownTransducer(
+            states={"q0", "q"},
+            rules={("q0", "r"): "r(q)", ("q", "text"): "text"},
+            initial="q0",
+        )
+        with obs.recording() as recorder:
+            assert typechecks(identity, dtd_to_nta(dtd), dtd)
+        assert recorder.gauges["typecheck.inverse_type_states"] >= 1
+
+
 class TestExporters:
     def _example_recorder(self):
         with obs.recording() as recorder:

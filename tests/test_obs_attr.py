@@ -1,5 +1,5 @@
 """Tests for work attribution (labeled counters, `explain`) and run
-diffing (`trace-diff`, `bench-report --explain`, the report sections)."""
+diffing (`trace-diff`, the report sections)."""
 
 import json
 import multiprocessing
@@ -21,7 +21,6 @@ from repro.obs import (
     profile_from_recorder,
     render_attribution,
     render_diff,
-    span_profile_rows,
 )
 from repro.obs.attr import format_label_key
 
@@ -296,8 +295,6 @@ class TestProfileDiff:
     def test_span_paths_aggregate_by_name_path(self):
         profile = self._recorder_profile()
         assert "root" in profile.spans and "root/child" in profile.spans
-        rows = span_profile_rows([])
-        assert rows == []
 
     def test_render_formats(self):
         diff = diff_profiles(self._recorder_profile(0), self._recorder_profile(3))
@@ -319,33 +316,6 @@ class TestRunProfileSniffing:
         profile = load_run_profile(str(path))
         assert profile.counters["n"] == 1
         assert profile.labeled["n"][label_key({"k": "v"})] == 1
-
-    def test_bench_run_file(self, tmp_path):
-        payload = {
-            "version": 2,
-            "provenance": {"git_sha": "a" * 40, "timestamp": 1.0},
-            "results": [
-                {
-                    "test": "t1", "seconds": 0.1, "samples": [0.1],
-                    "counters": {"n": 2}, "gauges": {"g": 1.0},
-                    "labeled": {"n": [{"labels": {"k": "v"}, "value": 2}]},
-                    "span_profile": [
-                        {"path": "root", "count": 1, "duration_ns": 10}
-                    ],
-                },
-                {
-                    "test": "t2", "seconds": 0.1, "samples": [0.1],
-                    "counters": {"n": 3}, "gauges": {"g": 4.0},
-                },
-            ],
-        }
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(payload))
-        profile = load_run_profile(str(path))
-        assert profile.counters["n"] == 5  # counters add across entries
-        assert profile.gauges["g"] == 4.0  # gauges keep the max
-        assert profile.spans["root"].duration_ns == 10
-        assert profile.labeled["n"][label_key({"k": "v"})] == 2
 
     def test_not_an_object_is_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -460,100 +430,6 @@ class TestTraceDiffCli:
         assert out_path.read_text().startswith("# Trace diff")
 
 
-def _history_with_regression(tmp_path):
-    """Two stored runs where the candidate regresses a labeled counter
-    and a span duration."""
-    base = {
-        "version": 2,
-        "provenance": {"git_sha": "a" * 40, "dirty": False,
-                       "timestamp": 1000.0, "python": "3.11", "repeats": 1},
-        "results": [{
-            "test": "bench_x.py::test_product",
-            "seconds": 0.2, "samples": [0.2],
-            "counters": {"ptime.product_states": 100}, "gauges": {},
-            "labeled": {"ptime.product_states": [
-                {"labels": {"rule": "q0/recipe", "site": "copying_nfa"},
-                 "value": 60},
-                {"labels": {"rule": "qsel/item", "site": "copying_nfa"},
-                 "value": 40},
-            ]},
-            "span_profile": [
-                {"path": "phase.product", "count": 1, "duration_ns": 1000000}
-            ],
-        }],
-    }
-    cand = json.loads(json.dumps(base))
-    cand["provenance"].update(git_sha="b" * 40, timestamp=2000.0)
-    entry = cand["results"][0]
-    entry["counters"]["ptime.product_states"] = 150
-    entry["labeled"]["ptime.product_states"][0]["value"] = 110
-    entry["span_profile"][0]["duration_ns"] = 2500000
-    history = tmp_path / "history"
-    history.mkdir()
-    (history / "run-20260101T000000.000000Z-aaaaaaaa.json").write_text(
-        json.dumps(base)
-    )
-    (history / "run-20260102T000000.000000Z-bbbbbbbb.json").write_text(
-        json.dumps(cand)
-    )
-    return str(history)
-
-
-class TestBenchReportExplain:
-    def test_names_span_and_top_rule(self, tmp_path, capsys):
-        # Acceptance: an injected counter regression is explained with
-        # the diverging span and the top contributing rule.
-        history = _history_with_regression(tmp_path)
-        assert main(["bench-report", "--history", history, "--explain"]) == 0
-        out = capsys.readouterr().out
-        assert "why (attribution):" in out
-        assert "rule=q0/recipe site=copying_nfa" in out
-        assert "60 -> 110" in out
-        assert "phase.product" in out
-        # The unchanged contributor is not listed as a cause.
-        assert "qsel/item" not in out
-
-    def test_markdown_footer_states_baseline_and_run_ids(self, tmp_path, capsys):
-        history = _history_with_regression(tmp_path)
-        assert main(["bench-report", "--history", history,
-                     "--format", "markdown"]) == 0
-        out = capsys.readouterr().out
-        assert "_Compared candidate `latest` (run `bbbbbbbb@" in out
-        assert "against baseline `previous` (run `aaaaaaaa@" in out
-
-    def test_markdown_footer_names_explicit_refs(self, tmp_path, capsys):
-        history = _history_with_regression(tmp_path)
-        assert main(["bench-report", "--history", history,
-                     "--format", "markdown", "--baseline", "-2",
-                     "--candidate", "latest"]) == 0
-        assert "baseline `-2`" in capsys.readouterr().out
-
-    def test_json_explain_payload(self, tmp_path, capsys):
-        history = _history_with_regression(tmp_path)
-        assert main(["bench-report", "--history", history,
-                     "--format", "json", "--explain"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        (note,) = document["explain"]
-        assert note["metric"] == "ptime.product_states"
-        assert note["contributors"][0]["labels"]["rule"] == "q0/recipe"
-        assert note["diverging_spans"][0]["path"] == "phase.product"
-
-    def test_explain_with_old_format_runs_degrades(self, tmp_path, capsys):
-        history = _history_with_regression(tmp_path)
-        for name in ("run-20260101T000000.000000Z-aaaaaaaa.json",
-                     "run-20260102T000000.000000Z-bbbbbbbb.json"):
-            path = tmp_path / "history" / name
-            payload = json.loads(path.read_text())
-            for entry in payload["results"]:
-                entry.pop("labeled", None)
-                entry.pop("span_profile", None)
-            path.write_text(json.dumps(payload))
-        assert main(["bench-report", "--history", history, "--explain"]) == 0
-        out = capsys.readouterr().out
-        assert "no labeled attribution recorded" in out
-        assert "no span profile stored" in out
-
-
 class TestLintStatsSorted:
     def test_lint_json_stats_keys_are_sorted(self, files, capsys):
         status = main(["lint", files["select"], files["schema"],
@@ -573,7 +449,6 @@ class TestHtmlSections:
         out_path = tmp_path / "obs.html"
         assert main(["report", "--trace", str(trace),
                      "--baseline-trace", str(trace),
-                     "--history", str(tmp_path / "none"),
                      "--output", str(out_path)]) == 0
         html = out_path.read_text()
         assert "Work attribution" in html
@@ -587,8 +462,7 @@ class TestHtmlSections:
 
     def test_placeholders_without_inputs(self, tmp_path, capsys):
         out_path = tmp_path / "obs.html"
-        assert main(["report", "--history", str(tmp_path / "none"),
-                     "--output", str(out_path)]) == 0
+        assert main(["report", "--output", str(out_path)]) == 0
         html = out_path.read_text()
         assert "No labeled counters" in html
         assert "No baseline supplied" in html

@@ -364,42 +364,18 @@ class TestCliSurface:
         out_html = str(tmp_path / "obs.html")
         status = main([
             "report", "--trace", trace, "--log", log,
-            "--history", str(tmp_path / "no-history"),
             "--output", out_html,
         ])
         assert status == 0
         html = open(out_html).read()
         assert "Span waterfall" in html
-        assert "No benchmark history yet" in html
         assert "http://" not in html and "https://" not in html
         assert len(html.encode()) < 1_048_576
 
     def test_report_placeholders_without_inputs(self, tmp_path, capsys):
         out_html = str(tmp_path / "obs.html")
-        status = main([
-            "report", "--history", str(tmp_path / "none"),
-            "--output", out_html,
-        ])
+        status = main(["report", "--output", out_html])
         assert status == 0
         html = open(out_html).read()
         assert "No trace supplied" in html
         assert "No corpus report supplied" in html
-
-
-class TestBaselineProtection:
-    def test_prune_never_deletes_baselines(self, tmp_path):
-        from repro.obs.bench.history import BenchHistory
-
-        history = BenchHistory(str(tmp_path), keep=2)
-        names = [
-            "run-20260801T000000.000000Z-aaaa.json",
-            "run-20260802T000000.000000Z-baseline.json",
-            "run-20260803T000000.000000Z-bbbb.json",
-            "run-20260804T000000.000000Z-cccc.json",
-            "run-20260805T000000.000000Z-dddd.json",
-        ]
-        for name in names:
-            (tmp_path / name).write_text("{}")
-        removed = history.prune()
-        assert [os.path.basename(p) for p in removed] == [names[0], names[2]]
-        assert (tmp_path / names[1]).exists()

@@ -79,27 +79,6 @@ class TestFacade:
         for name in obs.__all__:
             assert getattr(obs, name, None) is not None, name
 
-    def test_obs_bench_api_exported_via_obs(self):
-        from repro import obs
-        from repro.obs import bench
-
-        for name in bench.__all__:
-            assert getattr(bench, name, None) is not None, name
-        # The trajectory/regression surface is reachable from repro.obs
-        # without importing the subpackage explicitly.
-        for name in (
-            "BenchEntry",
-            "BenchHistory",
-            "BenchRun",
-            "RunProvenance",
-            "collect_provenance",
-            "compare_runs",
-            "render_report",
-            "track_peak_memory",
-        ):
-            assert name in obs.__all__, name
-            assert getattr(obs, name) is getattr(bench, name, getattr(obs, name))
-
     def test_docstring_example(self):
         schema = DTD({"note": "body", "body": "text"}, start={"note"})
         keep_body = TopDownTransducer(
