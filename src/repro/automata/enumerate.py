@@ -18,7 +18,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..strings.nfa import NFA
 from ..trees.tree import Tree
-from .nta import NTA, TEXT
+from .nta import NTA, TEXT, _least_trees
 
 __all__ = ["enumerate_trees", "sample_tree", "count_trees"]
 
@@ -113,48 +113,24 @@ def sample_tree(
 ) -> Optional[Tree]:
     """A random member of ``L(nta)`` of size at most ``max_size``.
 
-    Grows trees top-down, steering by the inhabited-state fixpoint so
-    the walk cannot dead-end; returns ``None`` only when the language
-    has no member within the size bound.
+    Grows trees top-down, steering by the size of each state's least
+    tree (the witness pass) so the walk cannot dead-end; returns
+    ``None`` only when the language has no member within the size
+    bound.
     """
     rng = rng or random.Random()
-    inhabited = nta.inhabited_states()
-    if nta.initial not in inhabited:
+    least = _least_trees(nta)
+    smallest = least.sizes
+    if nta.initial not in smallest:
         return None
-    smallest = _smallest_sizes(nta)
     for _ in range(attempts):
         t = _grow(nta, nta.initial, max_size, rng, smallest)
         if t is not None:
             return t
-    # Fall back to the deterministic smallest witness.
-    witness = nta.witness()
-    if witness is not None and witness.size <= max_size:
-        return witness
+    # Fall back to the deterministic least tree (the witness).
+    if smallest[nta.initial] <= max_size:
+        return least.tree(nta.initial)
     return None
-
-
-def _smallest_sizes(nta: NTA) -> Dict[State, int]:
-    """Smallest tree size per inhabited state (the witness DP)."""
-    sizes: Dict[State, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for (state, symbol), horizontal in nta.delta.items():
-            if symbol == TEXT:
-                candidate = 1 if horizontal.accepts_empty_word() else None
-            else:
-                word = _cheapest(horizontal, sizes)
-                candidate = None if word is None else 1 + sum(sizes[q] for q in word)
-            if candidate is not None and (state not in sizes or candidate < sizes[state]):
-                sizes[state] = candidate
-                changed = True
-    return sizes
-
-
-def _cheapest(horizontal: NFA, sizes: Dict[State, int]) -> Optional[Tuple[State, ...]]:
-    from .nta import _cheapest_word
-
-    return _cheapest_word(horizontal, sizes)
 
 
 def _grow(

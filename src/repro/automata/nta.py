@@ -11,16 +11,18 @@ eps in delta(q, a) for some a}``.)
 Horizontal languages are :class:`~repro.strings.nfa.NFA` objects whose
 alphabet is ``Q`` itself.
 
-The module provides membership (with run extraction), emptiness (with a
-smallest-witness construction), intersection, union, and trimming — all
-in polynomial time, as the Section 4.3 results require.  Complementation
-is exponential and lives in :mod:`repro.automata.fcns` via the binary
-encoding.
+The module provides membership (with run extraction), emptiness (with
+the least witness in a fixed tree order), intersection, union, and
+trimming — all in polynomial time, as the Section 4.3 results require.
+Complementation is exponential and lives in :mod:`repro.automata.fcns`
+via the binary encoding.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Any,
@@ -223,36 +225,19 @@ class NTA:
         return self.initial not in self.inhabited_states()
 
     def witness(self) -> Optional[Tree]:
-        """A smallest tree in ``L(N)``, or ``None`` when empty.
+        """The least tree of ``L(N)``, or ``None`` when empty.
 
-        Smallest by node count, built by the standard dynamic program
-        over the emptiness fixpoint.
+        Trees are ordered by size, then label, then ``is_text``, then
+        their children left to right under the same order; text nodes
+        carry the placeholder value ``"txt"``.  The least tree depends
+        on the language alone, not on how ``delta`` was built or
+        iterated.  One generalized-Dijkstra pass finds it
+        (:func:`_least_trees`, DESIGN.md A9).
         """
-        best: Dict[State, Tree] = {}
-        changed = True
-        while changed:
-            changed = False
-            for (state, symbol), horizontal in self.delta.items():
-                candidate = self._cheapest_tree(symbol, horizontal, best)
-                if candidate is None:
-                    continue
-                current = best.get(state)
-                if current is None or candidate.size < current.size:
-                    best[state] = candidate
-                    changed = True
-        return best.get(self.initial)
-
-    def _cheapest_tree(
-        self, symbol: str, horizontal: NFA, best: Dict[State, Tree]
-    ) -> Optional[Tree]:
-        word = _cheapest_word(horizontal, {q: best[q].size for q in best})
-        if word is None:
+        least = _least_trees(self, self.initial)
+        if self.initial not in least.sizes:
             return None
-        if symbol == TEXT:
-            if word:
-                return None  # text nodes are leaves
-            return Tree("txt", is_text=True)
-        return Tree(symbol, [best[q] for q in word])
+        return least.tree(self.initial)
 
     # -- reduction ---------------------------------------------------------------
 
@@ -381,39 +366,6 @@ def _choose_product_word(
     return tuple(chosen)
 
 
-def _cheapest_word(nfa: NFA, cost: Dict[State, int]) -> Optional[Tuple[State, ...]]:
-    """A minimum-total-cost accepted word over the symbols in ``cost``.
-
-    Dijkstra-like search where reading symbol ``q`` costs ``cost[q]``.
-    Returns ``None`` when no accepted word uses only those symbols.
-    """
-    import heapq
-
-    start = nfa.epsilon_closure([nfa.initial])
-    heap: List[Tuple[int, int, State, Tuple[State, ...]]] = []
-    counter = itertools.count()
-    seen: Dict[State, int] = {}
-    for state in start:
-        heapq.heappush(heap, (0, next(counter), state, ()))
-    while heap:
-        total, _tiebreak, state, word = heapq.heappop(heap)
-        if state in seen and seen[state] <= total:
-            continue
-        seen[state] = total
-        if state in nfa.finals:
-            return word
-        for symbol in nfa.symbols_from(state):
-            if symbol not in cost:
-                continue
-            for target in nfa.step(state, symbol):
-                for closed in nfa.epsilon_closure([target]):
-                    heapq.heappush(
-                        heap,
-                        (total + cost[symbol], next(counter), closed, word + (symbol,)),
-                    )
-    return None
-
-
 def _symbols_on_useful_paths(nfa: NFA, allowed: AbstractSet[State]) -> Set[State]:
     """Symbols (tree-automaton states) appearing on some accepting path
     of ``nfa`` that uses only ``allowed`` symbols."""
@@ -428,6 +380,211 @@ def _restrict_alphabet(nfa: NFA, allowed: AbstractSet[State]) -> NFA:
         if a is EPSILON or a in allowed
     ]
     return NFA(nfa.states, set(nfa.alphabet) & set(allowed), transitions, nfa.initial, nfa.finals)
+
+
+# -- least trees ----------------------------------------------------------------
+
+#: The ``goal`` of a pass that settles every inhabited state.
+_EVERY_STATE: Any = object()
+
+
+class _LeastTrees:
+    """What :func:`_least_trees` settled: per state, the size of its
+    least tree and that tree's root as ``(label, is_text, child
+    states)``."""
+
+    __slots__ = ("sizes", "roots")
+
+    def __init__(self) -> None:
+        self.sizes: Dict[State, int] = {}
+        self.roots: Dict[State, Tuple[str, bool, Tuple[State, ...]]] = {}
+
+    def tree(self, state: State) -> Tree:
+        """The least tree of a settled state, built bottom-up (no
+        recursion, however deep the tree)."""
+        built: Dict[State, Tree] = {}
+        stack = [state]
+        while stack:
+            current = stack[-1]
+            if current in built:
+                stack.pop()
+                continue
+            label, is_text, children = self.roots[current]
+            missing = [child for child in children if child not in built]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            built[current] = Tree(label, [built[child] for child in children], is_text=is_text)
+        return built[state]
+
+
+def _least_trees(nta: NTA, goal: State = _EVERY_STATE) -> _LeastTrees:
+    """Settle the states of ``nta`` in increasing order of their least
+    trees (the order of :meth:`NTA.witness`), and stop once ``goal`` has
+    settled; by default, once every inhabited state has.
+
+    A generalized Dijkstra pass (Knuth 1977) over two kinds of node:
+    tree states, and horizontal configurations ``(structure, NFA
+    state)``.  The key of a configuration is the least child word that
+    reaches it, by total size and then by the ranks of its symbols left
+    to right.  Every edge adds at least one node, so the pass runs level
+    by level of size: at level ``n``, first the states whose least tree
+    has ``n`` nodes settle, from the accepting configurations of level
+    ``n - 1``; then the configurations of level ``n``.  A state's rank
+    is its place in the tree order among the states settled so far, and
+    equal trees share a rank, so comparing ranks compares trees.
+
+    :meth:`~repro.strings.nfa.NFA.with_finals` siblings share one
+    structure, keyed on the epsilon-free horizontals this pass holds
+    until it returns; each ``(state, symbol)`` entry reads only its own
+    final states, as its configurations settle.  A settled
+    configuration keeps one back-pointer (its predecessor and the child
+    state read); a word is spelled out only for a settled state's
+    children or to break a tie.
+    """
+    result = _LeastTrees()
+    sizes, roots = result.sizes, result.roots
+    rank: Dict[State, int] = {}
+    # Per structure, by index: its epsilon-free horizontal, its settled
+    # configurations as ``config -> (size, predecessor, child state)``,
+    # and its ``delta`` entries with their own final states.
+    horizontals: List[NFA] = []
+    reached: List[Dict[State, Tuple[int, State, State]]] = []
+    accepting: List[List[Tuple[Tuple[State, str], AbstractSet[State]]]] = []
+    structure_of: Dict[Hashable, int] = {}
+    # Settled configurations with a move on a state not settled yet.
+    waiting: Dict[State, List[Tuple[int, State, AbstractSet[State]]]] = {}
+    # Size -> (tree candidates, configuration candidates); a heap of sizes.
+    pending: Dict[int, Tuple[List[Any], List[Any]]] = {}
+    levels: List[int] = []
+
+    def level(size: int) -> Tuple[List[Any], List[Any]]:
+        found = pending.get(size)
+        if found is None:
+            found = pending[size] = ([], [])
+            heapq.heappush(levels, size)
+        return found
+
+    def settle(x: int, config: State, size: int, previous: State, child: State) -> None:
+        """Record a configuration's least word and offer what it
+        enables: trees for the entries it accepts, longer words."""
+        known = reached[x]
+        known[config] = (size, previous, child)
+        for entry, finals in accepting[x]:
+            if config in finals and entry[0] not in sizes:
+                level(size + 1)[0].append((entry, x, config))
+        for symbol, targets in horizontals[x].moves(config):
+            child_size = sizes.get(symbol)
+            if child_size is None:
+                waiting.setdefault(symbol, []).append((x, config, targets))
+                continue
+            found = level(size + child_size)[1]
+            for target in targets:
+                if target not in known:
+                    found.append((x, target, config, symbol))
+
+    def word(x: int, config: State) -> Tuple[State, ...]:
+        """The least word reaching a settled configuration."""
+        known = reached[x]
+        size, config, child = known[config]
+        symbols = []
+        while size:
+            symbols.append(child)
+            size, config, child = known[config]
+        symbols.reverse()
+        return tuple(symbols)
+
+    def ranks(x: int, config: State, last: Tuple[int, ...] = ()) -> Tuple[int, ...]:
+        return tuple([rank[child] for child in word(x, config)]) + last
+
+    for entry, horizontal in nta.delta.items():
+        if entry[1] == TEXT:
+            if horizontal.accepts_empty_word():
+                level(1)[0].append((entry, -1, None))
+            continue
+        free = horizontal.without_epsilon()
+        key = free.structure_key()
+        x = structure_of.get(key)
+        if x is None:
+            x = structure_of[key] = len(horizontals)
+            horizontals.append(free)
+            reached.append({})
+            accepting.append([])
+        accepting[x].append((entry, free.finals))
+    for x, horizontal in enumerate(horizontals):
+        settle(x, horizontal.initial, 0, None, None)
+
+    next_rank = 0
+    while levels:
+        size = heapq.heappop(levels)
+        trees, configs = pending[size]
+        # The states whose least tree has ``size`` nodes.  Two candidates
+        # with one root label come from one entry: only words can tie.
+        chosen: Dict[State, Tuple[Any, ...]] = {}
+        for candidate in trees:
+            state = candidate[0][0]
+            if state in sizes:
+                continue
+            current = chosen.get(state)
+            if current is not None:
+                label, held = _root_label(candidate[0][1]), _root_label(current[0][1])
+                if label != held:
+                    if label > held:
+                        continue
+                elif ranks(*candidate[1:]) >= ranks(*current[1:]):
+                    continue
+            chosen[state] = candidate
+        settled = []
+        for state, ((_state, symbol), x, config) in chosen.items():
+            label, is_text = _root_label(symbol)
+            children = () if x < 0 else word(x, config)
+            sizes[state] = size
+            roots[state] = (label, is_text, children)
+            if state == goal:
+                return result
+            settled.append(((label, is_text, tuple([rank[c] for c in children])), state))
+        settled.sort(key=itemgetter(0))
+        last_key = None
+        for tree_key, state in settled:
+            if tree_key != last_key:
+                next_rank += 1
+                last_key = tree_key
+            rank[state] = next_rank
+        for _key, state in settled:
+            for x, config, targets in waiting.pop(state, ()):
+                known = reached[x]
+                found = level(known[config][0] + size)[1]
+                for target in targets:
+                    if target not in known:
+                        found.append((x, target, config, state))
+        del pending[size]
+        # The configurations whose least word has total size ``size``:
+        # none of them extends another, so each takes its least
+        # candidate and they settle together.
+        best: Dict[Tuple[int, State], List[Any]] = {}
+        for candidate in configs:
+            x, target = candidate[0], candidate[1]
+            if target in reached[x]:
+                continue
+            slot = best.get((x, target))
+            if slot is None:
+                best[(x, target)] = [candidate, None]
+                continue
+            if slot[1] is None:
+                held = slot[0]
+                slot[1] = ranks(x, held[2], (rank[held[3]],))
+            spelled = ranks(x, candidate[2], (rank[candidate[3]],))
+            if spelled < slot[1]:
+                slot[0], slot[1] = candidate, spelled
+        for (x, target), ((_x, _target, config, child), _spelled) in best.items():
+            settle(x, target, size, config, child)
+    return result
+
+
+def _root_label(symbol: str) -> Tuple[str, bool]:
+    """The ``(label, is_text)`` of the root a ``delta`` symbol gives."""
+    return ("txt", True) if symbol == TEXT else (symbol, False)
 
 
 # -- boolean combinations -----------------------------------------------------

@@ -237,8 +237,9 @@ class Dispatcher:
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         # Server-lifetime registries behind /metrics and the shutdown
-        # --metrics flush.  log_level None: request snapshots fold in
-        # their counters/gauges/histograms but never re-append events.
+        # --metrics flush.  Request snapshots fold in their registries
+        # only: their spans and events stay with the request, so the
+        # recorder does not grow with every request served.
         self._recorder = obs.Recorder(log_level=None)
         self._started = time.monotonic()
         if journal is not None:
@@ -501,7 +502,7 @@ class Dispatcher:
             request.corpus_doc = corpus_doc
             request.state = "cancelled" if cancelled else "done"
             request.finished = time.monotonic()
-            snapshot.merge_into(self._recorder)
+            snapshot.without_replayable_state().merge_into(self._recorder)
             self._recorder.add(
                 "serve.requests.cancelled" if cancelled
                 else "serve.requests.finished", 1

@@ -21,6 +21,7 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
+    ItemsView,
     List,
     Optional,
     Sequence,
@@ -44,6 +45,8 @@ Symbol = Hashable
 
 #: The epsilon pseudo-symbol.  Never use ``None`` as a real symbol.
 EPSILON: Symbol = None
+
+_NO_MOVES: Dict[Symbol, Set[State]] = {}
 
 
 class NFA:
@@ -140,6 +143,12 @@ class NFA:
         for symbol in self._delta.get(state, {}):
             if symbol is not EPSILON:
                 yield symbol
+
+    def moves(self, state: State) -> ItemsView[Symbol, AbstractSet[State]]:
+        """The ``(symbol, targets)`` pairs leaving ``state``, epsilon
+        moves included.  The target sets belong to the automaton, so
+        this copies nothing; read them, never modify them."""
+        return self._delta.get(state, _NO_MOVES).items()
 
     @property
     def size(self) -> int:

@@ -8,8 +8,12 @@
 # The CI golden-lint job regenerates this and diffs it against the
 # committed copy.  The dataflow pass counters are byte-stable across
 # hash seeds (the pass pipeline iterates in sorted order); the witness
-# *paths* in TP2xx/TP3xx messages pick among equally short witnesses by
-# core BFS order, so the golden copy is pinned to PYTHONHASHSEED=0.
+# *paths* in TP2xx/TP3xx messages pick among equally short paths by NFA
+# breadth-first search order, so the golden copy is pinned to
+# PYTHONHASHSEED=0.  The witness trees (`witness`, `witness_xml`, and
+# `smallest_safe_document`) are the least trees in a fixed order, so the
+# job also regenerates the report under PYTHONHASHSEED 1 and 2 and
+# checks that those values alone match the golden copy.
 set -e
 corpus=examples/files/corpus
 for t in select identity duplicate swap_comments; do

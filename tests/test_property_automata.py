@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.automata import NTA, TEXT, intersect_nta, nta_from_rules, union_nta
+from repro.automata.enumerate import enumerate_trees
 from repro.strings import NFA, determinize, minimize, parse_regex
 from repro.trees import Tree
 from tests.test_strings_nfa import assert_same_pair_product
@@ -162,11 +163,67 @@ class TestSharedStructureIntersection:
     def test_same_witness_size_with_fewer_maps(self):
         for shared, unshared in shared_products():
             witness, reference = shared.witness(), unshared.witness()
-            assert witness is not None and reference is not None
-            assert witness.size == reference.size
+            assert witness is not None and witness == reference
             assert shared.accepts(witness) and unshared.accepts(witness)
             maps = {horizontal.structure_key() for horizontal in shared.delta.values()}
             assert len(maps) < len(shared.delta)
+
+
+STATES = ("s0", "s1", "s2")
+
+
+@st.composite
+def small_ntas(draw):
+    """Small NTAs over three states, labels ``a``/``b`` and text leaves,
+    with horizontal languages that make equally small trees common.
+    Rules are added in a drawn order."""
+    keys = [(state, symbol) for state in STATES for symbol in LABELS + (TEXT,)]
+    rules = {}
+    for state, symbol in draw(st.permutations(keys)):
+        if not draw(st.booleans()):
+            continue
+        if symbol == TEXT:
+            rules[(state, symbol)] = "eps"
+            continue
+        one, two = draw(st.sampled_from(STATES)), draw(st.sampled_from(STATES))
+        rules[(state, symbol)] = draw(st.sampled_from(
+            ["eps", one, one + "*", one + " " + two, one + " + " + two, one + "? " + two]
+        ))
+    return nta_from_rules(alphabet=set(LABELS), rules=rules, initial="s0")
+
+
+def tree_key(t):
+    """The witness order, spelled out independently: size, label,
+    ``is_text``, then the children left to right."""
+    return (t.size, t.label, t.is_text, tuple(tree_key(child) for child in t.children))
+
+
+#: Trees up to this size are enumerated by brute force.
+ENUMERATION_BOUND = 8
+
+
+class TestCanonicalWitness:
+    @given(nta=small_ntas())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_is_the_least_enumerated_tree(self, nta):
+        witness = nta.witness()
+        bound = ENUMERATION_BOUND if witness is None else min(witness.size, ENUMERATION_BOUND)
+        trees = list(enumerate_trees(nta, bound))
+        if witness is None or witness.size > ENUMERATION_BOUND:
+            assert trees == []
+        else:
+            assert min(trees, key=tree_key) == witness
+
+    @given(nta=small_ntas(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_ignores_the_order_of_delta(self, nta, data):
+        entries = data.draw(st.permutations(list(nta.delta.items())))
+        shuffled = NTA(nta.states, nta.alphabet, dict(entries), nta.initial)
+        assert shuffled.witness() == nta.witness()
+        product, shuffled_product = (
+            intersect_nta(automaton, schema_two()) for automaton in (nta, shuffled)
+        )
+        assert shuffled_product.witness() == product.witness()
 
 
 SYMBOLS = ("a", "b", "c")

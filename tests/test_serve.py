@@ -15,6 +15,7 @@ headline guarantees from the design doc are asserted here:
   counters as an unsharded run.
 """
 
+import asyncio
 import json
 import os
 import signal
@@ -309,6 +310,47 @@ class TestBackpressure:
             assert "repro_serve_busy_rejections_total 1" in dispatcher.render_metrics()
         finally:
             dispatcher.shutdown()
+
+
+class TestLifetimeRecorder:
+    def test_requests_fold_registries_without_spans(self, corpus):
+        """The server-lifetime recorder keeps no request's spans or
+        events, and its metrics are those of folding every request's
+        full snapshot."""
+        dispatcher = Dispatcher(jobs=1)
+        loop = asyncio.new_event_loop()
+
+        async def drain(request):
+            async for _event in dispatcher.stream(request):
+                pass
+
+        requests = []
+        try:
+            for _ in range(3):
+                request = dispatcher.admit({"corpus_dir": str(corpus), "no_cache": True})
+                loop.run_until_complete(drain(request))
+                requests.append(request)
+        finally:
+            loop.close()
+            dispatcher.shutdown()
+        snapshots = [obs.Snapshot.from_dict(request.snapshot) for request in requests]
+        assert all(snapshot.spans and snapshot.events for snapshot in snapshots)
+        lifetime = dispatcher._recorder
+        assert lifetime.spans == [] and lifetime.events == []
+        # The same registries with the full snapshots folded in, plus
+        # what the dispatcher records itself (no snapshot has a serve.*
+        # name).
+        full = obs.Recorder(log_level=None)
+        for snapshot in snapshots:
+            snapshot.merge_into(full)
+        assert full.spans
+        for name, value in lifetime.counters.items():
+            if name.startswith("serve."):
+                full.add(name, value)
+        full.histograms["serve.request.ms"] = lifetime.histograms["serve.request.ms"]
+        assert dispatcher.render_metrics() == obs.render_openmetrics(
+            full.counters, full.gauges, full.histograms, full.meters
+        )
 
 
 class TestProtocol:
