@@ -8,8 +8,8 @@ compared against EXPERIMENTS.md.
 Every ``benchmark_or_timer`` measurement runs once under a
 :mod:`repro.obs` recorder.  When the session ends, ``BENCH_results.json``
 at the repo root is overwritten with one entry per measurement, keyed
-and sorted by test id: its wall ``seconds`` and its exact ``counters``
-and ``gauges``.  ``tests/golden/regen_bench_counters.sh`` drops the
+and sorted by test id: its wall ``seconds``, its exact ``counters`` and
+``gauges``, and the ``labeled`` split of its attributed counters.  ``tests/golden/regen_bench_counters.sh`` drops the
 seconds to regenerate the committed golden,
 ``tests/golden/bench-counters.json``.
 """
@@ -47,7 +47,8 @@ def benchmark_or_timer(benchmark, request):
     """Run a thunk once under a :mod:`repro.obs` recorder and return its
     seconds: through pytest-benchmark when it is active, otherwise with
     plain wall-clock timing, so the bench files double as plain tests.
-    The seconds, counters and gauges go into ``BENCH_results.json``."""
+    The seconds, counters, gauges and labeled counters go into
+    ``BENCH_results.json``."""
 
     def run(fn):
         with obs.recording() as recorder:
@@ -60,6 +61,7 @@ def benchmark_or_timer(benchmark, request):
             "seconds": seconds,
             "counters": dict(recorder.counters),
             "gauges": dict(recorder.gauges),
+            "labeled": obs.labeled_to_jsonable(recorder.labeled),
         }
         return seconds
 

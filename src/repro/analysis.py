@@ -143,7 +143,6 @@ def diagnose(
     codes: Optional[Iterable[str]] = None,
     compute_subschema: bool = True,
     passes: Optional[Iterable[str]] = None,
-    prefilter: bool = True,
 ) -> List[Diagnostic]:
     """Static analysis with explainable verdicts (the :mod:`repro.lint`
     engine): coded findings instead of bare booleans.
@@ -152,8 +151,9 @@ def diagnose(
     text-preservation violations TP3xx (localized to the offending rule,
     with the smallest counter-example attached), §7 safety findings
     TP4xx, and dataflow findings TP5xx.  ``passes`` restricts the
-    dataflow pipeline; ``prefilter=False`` disables the sound
-    pre-filters gating the TP3xx decision procedures (findings are
+    dataflow pipeline; the sound pre-filters gating the TP3xx decision
+    procedures follow the process switch
+    (:func:`repro.lint.dataflow.prefilter_disabled`; findings are
     identical either way).  ``schema`` accepts a DTD or an NTA;
     ``transducer`` must be a
     :class:`~repro.core.topdown.TopDownTransducer` (DTL programs have no
@@ -173,7 +173,6 @@ def diagnose(
         codes=codes,
         compute_subschema=compute_subschema,
         passes=passes,
-        prefilter=prefilter,
     )
 
 

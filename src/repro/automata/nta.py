@@ -241,18 +241,27 @@ class NTA:
 
     # -- reduction ---------------------------------------------------------------
 
+    def useful_child_states(self, state: State, symbol: str) -> Set[State]:
+        """The possible child states of a ``symbol`` node in ``state``
+        inside a completable tree: the states occurring in some word of
+        ``delta(state, symbol)`` over inhabited states."""
+        horizontal = self.delta.get((state, symbol))
+        if horizontal is None:
+            return set()
+        trimmed = _restrict_alphabet(horizontal, self.inhabited_states()).trim()
+        return {child for (_s, child, _t) in trimmed.transitions() if child is not EPSILON}
+
     def reachable_states(self) -> FrozenSet[State]:
         """States reachable top-down from the initial state (through
         trimmed horizontal automata restricted to inhabited states)."""
-        inhabited = self.inhabited_states()
         seen: Set[State] = {self.initial}
         stack = [self.initial]
         while stack:
             state = stack.pop()
-            for (source, _symbol), horizontal in self.delta.items():
+            for source, symbol in self.delta:
                 if source != state:
                     continue
-                for target in _symbols_on_useful_paths(horizontal, inhabited):
+                for target in self.useful_child_states(source, symbol):
                     if target not in seen:
                         seen.add(target)
                         stack.append(target)
@@ -364,13 +373,6 @@ def _choose_product_word(
                     break
         assert advanced, "backward sets out of sync"
     return tuple(chosen)
-
-
-def _symbols_on_useful_paths(nfa: NFA, allowed: AbstractSet[State]) -> Set[State]:
-    """Symbols (tree-automaton states) appearing on some accepting path
-    of ``nfa`` that uses only ``allowed`` symbols."""
-    trimmed = _restrict_alphabet(nfa, allowed).trim()
-    return {symbol for (_s, symbol, _t) in trimmed.transitions() if symbol is not EPSILON}
 
 
 def _restrict_alphabet(nfa: NFA, allowed: AbstractSet[State]) -> NFA:

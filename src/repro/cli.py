@@ -127,8 +127,8 @@ Perfetto); ``--log FILE.jsonl`` writes the span-correlated structured
 event log (``--log-level`` sets the buffering threshold) — each line's
 ``span_id`` joins against the trace file's ``args.id``, including
 events emitted inside ``batch`` worker processes; ``--metrics FILE``
-writes the run's counters, gauges, latency histograms, and rate
-meters as Prometheus/OpenMetrics text exposition (any sampled time
+writes the run's counters, gauges and latency histograms as
+Prometheus/OpenMetrics text exposition (any sampled time
 series additionally lands as ``FILE.timeline.jsonl``).  ``report``
 bundles a trace, a log, and a corpus JSONL report into one
 dependency-free HTML file for CI artifacts.
@@ -189,7 +189,7 @@ import io
 import os
 import sys
 import time
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import obs
 from .analysis import (
@@ -200,10 +200,12 @@ from .analysis import (
     is_rearranging,
     maximal_safe_subschema,
 )
+from .automata.nta import TEXT
 from .core.topdown import TopDownTransducer
 from .lint import SEVERITIES, SourceInfo, render_json, render_text, severity_order
-from .lint.dataflow import NO_PREFILTER_ENV, pass_names
+from .lint.dataflow import pass_names, prefilter_disabled
 from .schema.dtd import DTD, dtd_to_nta
+from .strings.nfa import NFA
 from .trees.parser import serialize_tree
 from .trees.xmlio import XmlSyntaxError, tree_to_xml, xml_to_tree
 
@@ -284,11 +286,28 @@ def _open_utf8(path: str) -> io.StringIO:
     return io.StringIO(text, newline=None)
 
 
+def _blame(
+    path: str, error: ValueError, checks: Sequence[Tuple[int, Callable[[], object]]]
+) -> CliError:
+    """The :class:`CliError` for a file whose parsed declarations failed
+    to build with ``error``: ``PATH:LINE: ...`` for the first
+    ``(line, check)`` in source order whose check fails on its own
+    declaration, else ``PATH: ...``.  Only runs once the file is known
+    to be bad, so a good file pays nothing."""
+    for number, check in sorted(checks, key=lambda item: item[0]):
+        try:
+            check()
+        except ValueError as own:
+            return CliError("%s:%d: %s" % (path, number, own))
+    return CliError("%s: %s" % (path, error))
+
+
 def load_schema_ex(path: str) -> LoadedSchema:
     """Parse the line-oriented schema format, keeping source lines."""
     content: Dict[str, str] = {}
     label_lines: Dict[str, int] = {}
     start: Set[str] = set()
+    start_lines: Dict[str, int] = {}
     with _open_utf8(path) as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -299,6 +318,8 @@ def load_schema_ex(path: str) -> LoadedSchema:
                 if not labels:
                     raise CliError("%s:%d: 'start' needs at least one label" % (path, number))
                 start.update(labels)
+                for label in labels:
+                    start_lines.setdefault(label, number)
                 continue
             if "->" not in line:
                 raise CliError("%s:%d: expected 'label -> content-model'" % (path, number))
@@ -314,7 +335,17 @@ def load_schema_ex(path: str) -> LoadedSchema:
     try:
         return LoadedSchema(DTD(content=content, start=start), label_lines)
     except ValueError as error:
-        raise CliError("%s: %s" % (path, error)) from None
+        # Each check builds the schema with one declaration kept and
+        # every other content model empty.
+        empty = {label: NFA([0], [], [], 0, [0]) for label in content if label != TEXT}
+        checks = [
+            (number, lambda label=label: DTD({**empty, label: content[label]}, ()))
+            for label, number in label_lines.items()
+        ] + [
+            (number, lambda label=label: DTD(empty, (label,)))
+            for label, number in start_lines.items()
+        ]
+        raise _blame(path, error, checks) from None
 
 
 def load_schema(path: str) -> DTD:
@@ -380,7 +411,11 @@ def load_transducer_ex(path: str) -> LoadedTransducer:
     try:
         transducer = TopDownTransducer(states=states, rules=rules, initial=initial)
     except ValueError as error:
-        raise CliError("%s: %s" % (path, error)) from None
+        checks = [
+            (number, lambda key=key: TopDownTransducer(states, {key: rules[key]}, initial))
+            for key, number in rule_lines.items()
+        ]
+        raise _blame(path, error, checks) from None
     return LoadedTransducer(transducer, rule_lines, state_lines)
 
 
@@ -463,9 +498,7 @@ def _write_metrics(recorder: obs.Recorder, path: str) -> None:
     """Write the run's registries as OpenMetrics text exposition; any
     sampled time series additionally lands next to it as a
     self-identifying JSONL timeline (``FILE.timeline.jsonl``)."""
-    text = obs.render_openmetrics(
-        recorder.counters, recorder.gauges, recorder.histograms, recorder.meters
-    )
+    text = obs.render_openmetrics(recorder.counters, recorder.gauges, recorder.histograms)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     print("wrote OpenMetrics exposition to %s" % path, file=sys.stderr)
@@ -584,7 +617,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     loaded_schema = load_schema_ex(args.schema)
     # Always record: the engine's memo hit/miss counters feed the JSON
     # report, and --stats/--trace/--log reuse the same run.
-    with obs.recording(log_level=_event_level(args)) as recorder:
+    switch = prefilter_disabled() if args.no_prefilter else contextlib.nullcontext()
+    with obs.recording(log_level=_event_level(args)) as recorder, switch:
         diagnostics = diagnose(
             loaded_transducer.transducer,
             loaded_schema.dtd,
@@ -593,7 +627,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 args.transducer, loaded_transducer, args.schema, loaded_schema
             ),
             passes=passes,
-            prefilter=not args.no_prefilter,
         )
     if args.format == "json":
         stats = {
@@ -725,10 +758,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise CliError("--jobs must be at least 1, got %d" % args.jobs)
     if args.timeout is not None and args.timeout <= 0:
         raise CliError("--timeout must be positive, got %g" % args.timeout)
-    if args.no_prefilter:
-        # Pool workers inherit the environment, so the switch reaches the
-        # per-job lint runs on the other side of the process boundary.
-        os.environ[NO_PREFILTER_ENV] = "1"
     try:
         jobs = corpus.discover_jobs(args.corpus_dir)
         if args.shard is not None:
@@ -767,6 +796,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         flight.note("batch.starting", corpus_dir=args.corpus_dir,
                     jobs=len(jobs))
     with contextlib.ExitStack() as stack:
+        if args.no_prefilter:
+            # The pool workers start inside the block and inherit it.
+            stack.enter_context(prefilter_disabled())
         recorder: Optional[obs.Recorder] = None
         if _wants_observation(args) or journal is not None:
             recorder = stack.enter_context(
@@ -1795,7 +1827,7 @@ def _add_log_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
     sub_parser.add_argument(
         "--metrics", metavar="FILE",
-        help="write the run's counters/gauges/histograms/meters as "
+        help="write the run's counters/gauges/histograms as "
         "Prometheus/OpenMetrics text exposition; sampled time series "
         "additionally land as FILE.timeline.jsonl",
     )

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -46,7 +47,7 @@ from ..trees.tree import Tree
 from .topdown import TopDownTransducer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..lint.dataflow import DataflowSummary, PrefilterArg
+    from ..lint.dataflow import DataflowSummary
 
 __all__ = [
     "path_automaton",
@@ -65,7 +66,6 @@ __all__ = [
     "copying_counter_example",
     "RearrangingFinding",
     "rearranging_findings",
-    "rearranging_counter_example",
 ]
 
 State = Hashable
@@ -75,7 +75,7 @@ _ACC = ("acc",)
 
 
 def _resolve_prefilter(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg"
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"]
 ) -> Optional["DataflowSummary"]:
     """Resolve a ``prefilter=`` argument to a dataflow summary or
     ``None`` (pre-filtering off).  Imported lazily: the dataflow
@@ -91,50 +91,45 @@ def _log_skip(procedure: str, pass_name: str, **details: object) -> None:
     log_skip(procedure, pass_name, **details)
 
 
-def _add_attributed_states(
-    rule_states: Dict[Tuple[str, str], int],
-    total: int,
+def _credit_states(
     site: str,
-    structural: Tuple[Tuple[str, int], ...] = (),
+    states: Iterable[State],
+    transitions: Iterable[Tuple[Any, str, State]],
+    owner: int,
+    roles: Dict[State, str],
 ) -> None:
-    """Report ``ptime.product_states`` with per-rule attribution.
-
-    The flat total is always exactly ``total``: each per-rule increment
-    carries ``rule=``/``site=`` labels, and the constant bookkeeping
-    states no rule discovered — the initial seed configuration and the
-    ``_ACC``/``_D`` sinks — are reported under parenthesized
-    pseudo-rules (``structural`` is their ``(role, count)`` list) so
-    the attribution table sums to the flat total instead of leaving a
-    silent gap.  Attribution never perturbs the exact flat counters
-    the bench gate compares.
-    """
-    attributed = 0
-    for (state, symbol), count in sorted(rule_states.items()):
-        obs.add("ptime.product_states", count,
-                rule="%s/%s" % (state, symbol), site=site)
-        attributed += count
-    for role, count in structural:
-        if count:
-            obs.add("ptime.product_states", count, rule=role, site=site)
-            attributed += count
-    remainder = total - attributed
-    if remainder:
-        # Safety net: any state neither a rule nor a declared
-        # structural role discovered stays in the flat total unlabeled.
-        obs.add("ptime.product_states", remainder)
+    """Count ``ptime.product_states`` for a finished automaton, one per
+    state, with attribution: the seed and sink states go to their
+    parenthesized ``roles``, every other state to the least transducer
+    rule ``(source[owner], label)`` among the ``(source, label, target)``
+    transitions entering it (``source[owner]`` is the transducer state
+    the source simulates).  The split is a function of the automaton
+    alone, not of the order the construction explored it, and it sums
+    to the flat total."""
+    least: Dict[State, Tuple[str, str]] = {}
+    for source, symbol, target in transitions:
+        rule = (source[owner], symbol)
+        known = least.get(target)
+        if known is None or rule < known:
+            least[target] = rule
+    credit: Dict[str, int] = {}
+    for state in states:
+        role = roles.get(state) or "%s/%s" % least[state]
+        credit[role] = credit.get(role, 0) + 1
+    for role in sorted(credit):
+        obs.add("ptime.product_states", credit[role], rule=role, site=site)
 
 
-def _useful_child_states(nta: NTA, state: State, symbol: str) -> Set[State]:
-    """States occurring in some horizontal word over inhabited states
-    for ``delta(state, symbol)`` — the possible child states inside a
-    completable tree."""
-    horizontal = nta.delta.get((state, symbol))
-    if horizontal is None:
-        return set()
-    inhabited = nta.inhabited_states()
-    from ..automata.nta import _symbols_on_useful_paths
-
-    return set(_symbols_on_useful_paths(horizontal, inhabited))
+def _credit_nta_states(site: str, nta: NTA, owner: int) -> None:
+    """:func:`_credit_states` for a witness NTA, whose transition
+    ``(source, label)`` enters the states of its horizontal language."""
+    transitions = (
+        (source, symbol, child)
+        for (source, symbol), horizontal in nta.delta.items()
+        if source != _D
+        for child in horizontal.alphabet
+    )
+    _credit_states(site, nta.states, transitions, owner, {nta.initial: "(seed)", _D: "(sink)"})
 
 
 def path_automaton(nta: NTA) -> NFA:
@@ -151,22 +146,19 @@ def path_automaton(nta: NTA) -> NFA:
             return NFA(
                 {nta.initial, _ACC}, set(nta.alphabet) | {TEXT}, [], nta.initial, {_ACC}
             )
-        for (state, symbol), _horizontal in nta.delta.items():
+        for state, symbol in nta.delta:
             if state not in inhabited:
                 continue
             if symbol == TEXT:
                 if nta.allows_empty(state, TEXT):
                     transitions.append((state, TEXT, _ACC))
                 continue
-            for child in _useful_child_states(nta, state, symbol):
+            for child in nta.useful_child_states(state, symbol):
                 transitions.append((state, symbol, child))
         states = set(inhabited) | {_ACC, nta.initial}
         sp.set("states", len(states))
         sp.set("transitions", len(transitions))
         obs.add("ptime.path_automaton_states", len(states))
-        obs.observe("ptime.path_automaton_size", len(states))
-        obs.debug("ptime.path_automaton", "schema path automaton built",
-                  states=len(states), transitions=len(transitions))
         return NFA(states, set(nta.alphabet) | {TEXT}, transitions, nta.initial, {_ACC})
 
 
@@ -190,9 +182,6 @@ def transducer_path_automaton(transducer: TopDownTransducer) -> NFA:
         sp.set("states", len(states))
         sp.set("transitions", len(transitions))
         obs.add("ptime.path_automaton_states", len(states))
-        obs.observe("ptime.path_automaton_size", len(states))
-        obs.debug("ptime.path_automaton", "transducer path automaton built",
-                  states=len(states), transitions=len(transitions))
         return NFA(states, alphabet, transitions, transducer.initial, {_ACC})
 
 
@@ -223,7 +212,7 @@ def _pair_steps(
 
 
 def copying_nfa(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg" = None
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"] = None
 ) -> NFA:
     """Lemma 4.9's automaton ``M``: accepts the text paths of ``L(nta)``
     witnessing that the transducer copies.
@@ -256,8 +245,6 @@ def copying_nfa(
         stack: List[Tuple[State, str, str, int]] = [initial]
         seen: Set[State] = {initial}
         pruned = 0
-        attribute = obs.enabled()
-        rule_states: Dict[Tuple[str, str], int] = {}
         while stack:
             current = stack.pop()
             s_n, q1, q2, flag = current
@@ -282,31 +269,22 @@ def copying_nfa(
                             seen.add(nxt)
                             states.add(nxt)
                             stack.append(nxt)
-                            if attribute:
-                                rule = (q1, symbol)
-                                rule_states[rule] = rule_states.get(rule, 0) + 1
         sp.set("states", len(states))
         sp.set("transitions", len(transitions))
-        _add_attributed_states(
-            rule_states, len(states), "copying_nfa",
-            structural=(("(seed)", 1), ("(accept)", 1)),
-        )
-        obs.add("ptime.product_transitions", len(transitions))
-        # Distribution registries (separate from the exact counters):
-        # product sizes and build latency feed the p50/p99 summaries.
-        obs.observe("ptime.product_size", len(states))
         if obs.enabled():
-            obs.observe("ptime.copying_product.ms", sp.duration_ns / 1e6)
+            # A transition out of (s, q1, q2, flag) on `a` runs rule q1/a.
+            _credit_states(
+                "copying_nfa", states, transitions, 1, {initial: "(seed)", _ACC: "(accept)"}
+            )
+        obs.add("ptime.product_transitions", len(transitions))
         if productive is not None:
             sp.set("pruned", pruned)
             obs.add("ptime.product_pruned", pruned)
-        obs.debug("ptime.copying", "copying product built",
-                  states=len(states), transitions=len(transitions))
         return NFA(states, alphabet, transitions, initial, {_ACC})
 
 
 def is_copying(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg" = None
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"] = None
 ) -> bool:
     """Lemma 4.9: PTIME test whether the transducer copies over ``L(nta)``."""
     summary = _resolve_prefilter(transducer, nta, prefilter)
@@ -319,12 +297,10 @@ def is_copying(
             _log_skip("is_copying", "copy-degree", max_copy_degree=summary.max_copy_degree)
             obs.info("ptime.copying", "copying decided", copying=False, product_states=0)
             return False
-        product = copying_nfa(transducer, nta, prefilter=summary if summary is not None else False)
+        product = copying_nfa(transducer, nta, prefilter=summary)
         with obs.span("ptime.emptiness") as sp_empty:
             sp_empty.set("automaton", "copying_nfa")
             empty = product.is_empty()
-        if obs.enabled():
-            obs.observe("ptime.emptiness.ms", sp_empty.duration_ns / 1e6)
         sp.set("verdict", not empty)
         obs.info("ptime.copying", "copying decided",
                  copying=not empty, product_states=len(product.states))
@@ -332,7 +308,7 @@ def is_copying(
 
 
 def copying_witness_path(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg" = None
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"] = None
 ) -> Optional[Tuple[str, ...]]:
     """A text path witnessing copying (labels ending in ``text``), or
     ``None`` when the transducer does not copy over ``L(nta)``."""
@@ -340,9 +316,7 @@ def copying_witness_path(
     if summary is not None and summary.copy_free:
         _log_skip("copying_witness_path", "copy-degree")
         return None
-    word = copying_nfa(
-        transducer, nta, prefilter=summary if summary is not None else False
-    ).shortest_word()
+    word = copying_nfa(transducer, nta, prefilter=summary).shortest_word()
     if word is None:
         return None
     return tuple(str(symbol) for symbol in word)
@@ -404,8 +378,6 @@ def copying_nta(
     initial = (transducer.initial, transducer.initial, 0)
     work: List[Tuple[str, str, int]] = [initial]
     seen: Set[Tuple[str, str, int]] = {initial}
-    attribute = obs.enabled()
-    rule_states: Dict[Tuple[str, str], int] = {}
     while work:
         q1, q2, flag = work.pop()
         pair_states.add((q1, q2, flag))
@@ -419,18 +391,14 @@ def copying_nta(
                 if target not in seen:
                     seen.add(target)
                     work.append(target)
-                    if attribute:
-                        rule = (q1, symbol)
-                        rule_states[rule] = rule_states.get(rule, 0) + 1
             combined = _union_patterns(patterns, _D)
             if combined is not None:
                 delta[((q1, q2, flag), symbol)] = combined
-    states = pair_states | {_D, initial}
-    _add_attributed_states(
-        rule_states, len(states), "copying_nta",
-        structural=(("(seed)", 1), ("(sink)", 1)),
-    )
-    return NTA(states, alphabet, delta, initial)
+    result = NTA(pair_states | {_D, initial}, alphabet, delta, initial)
+    if obs.enabled():
+        # A transition out of (q1, q2, flag) runs rule q1/a.
+        _credit_nta_states("copying_nta", result, 0)
+    return result
 
 
 def rearranging_nta(
@@ -459,149 +427,111 @@ def rearranging_nta(
     (used by the :mod:`repro.lint` diagnostics engine).
     """
     with obs.span("ptime.rearranging_nta") as sp:
-        result, rule_states = _rearranging_nta_impl(
-            transducer, alphabet, violation_filter
-        )
+        alphabet = set(alphabet) if alphabet is not None else set(transducer.alphabet)
+        alphabet |= set(transducer.alphabet)
+        delta: Dict[Tuple[State, str], NFA] = {}
+        eps_nfa = NFA([0], [], [], 0, [0])
+        delta[(_D, TEXT)] = eps_nfa
+        for symbol in alphabet:
+            delta[(_D, symbol)] = _pattern_nfa([], _D)
+
+        # The s-, p- and f-states needed so far (by transducer states).
+        s_needed: Set[str] = {transducer.initial}
+        p_needed: Set[Tuple[str, str]] = set()
+        f_needed: Set[str] = set()
+
+        def f_state(q: str) -> State:
+            f_needed.add(q)
+            return ("f", q)
+
+        def p_state(q1: str, q2: str) -> State:
+            p_needed.add((q1, q2))
+            return ("p", q1, q2)
+
+        def s_state(q: str) -> State:
+            s_needed.add(q)
+            return ("s", q)
+
+        # Build rules lazily until no new states appear.
+        done_s: Set[str] = set()
+        done_p: Set[Tuple[str, str]] = set()
+        done_f: Set[str] = set()
+        changed = True
+        while changed:
+            changed = False
+            for q in list(s_needed - done_s):
+                done_s.add(q)
+                changed = True
+                for symbol in alphabet:
+                    frontier = transducer.rhs_frontier_states(q, symbol)
+                    if not frontier:
+                        continue
+                    patterns: List[NFA] = []
+                    for q_next in set(frontier):
+                        patterns.append(_pattern_nfa([s_state(q_next)], _D))
+                    # Order violation: q2' strictly before q1' among the
+                    # frontier state occurrences (as a subsequence q2'.q1').
+                    # Two sub-cases: the violation happens strictly above
+                    # the lca (continue together in a p-state), or at the
+                    # lca itself (split immediately: the run for the *left*
+                    # leaf v1 continues in an earlier child than the run
+                    # for v2).
+                    seen_pairs = set()
+                    for j1 in range(len(frontier)):
+                        for j2 in range(j1 + 1, len(frontier)):
+                            q2_next, q1_next = frontier[j1], frontier[j2]
+                            if (q1_next, q2_next) in seen_pairs:
+                                continue
+                            seen_pairs.add((q1_next, q2_next))
+                            if violation_filter is not None and not violation_filter(
+                                q, symbol, q1_next, q2_next
+                            ):
+                                continue
+                            patterns.append(_pattern_nfa([p_state(q1_next, q2_next)], _D))
+                            patterns.append(
+                                _pattern_nfa([f_state(q1_next), f_state(q2_next)], _D)
+                            )
+                    delta[(("s", q), symbol)] = _union_patterns(patterns, _D)
+            for (q1, q2) in list(p_needed - done_p):
+                done_p.add((q1, q2))
+                changed = True
+                for symbol in alphabet:
+                    targets1 = set(transducer.rhs_frontier_states(q1, symbol))
+                    targets2 = set(transducer.rhs_frontier_states(q2, symbol))
+                    patterns = []
+                    for t1 in targets1:
+                        for t2 in targets2:
+                            # continue together toward the lca
+                            patterns.append(_pattern_nfa([p_state(t1, t2)], _D))
+                            # or split here: v1 into an earlier child than v2
+                            patterns.append(_pattern_nfa([f_state(t1), f_state(t2)], _D))
+                    combined = _union_patterns(patterns, _D)
+                    if combined is not None:
+                        delta[(("p", q1, q2), symbol)] = combined
+            for q in list(f_needed - done_f):
+                done_f.add(q)
+                changed = True
+                if q in transducer.text_states:
+                    delta[(("f", q), TEXT)] = eps_nfa
+                for symbol in alphabet:
+                    patterns = []
+                    for q_next in set(transducer.rhs_frontier_states(q, symbol)):
+                        patterns.append(_pattern_nfa([f_state(q_next)], _D))
+                    combined = _union_patterns(patterns, _D)
+                    if combined is not None:
+                        delta[(("f", q), symbol)] = combined
+
+        states: Set[State] = {_D}
+        states |= {("s", q) for q in done_s}
+        states |= {("p", q1, q2) for (q1, q2) in done_p}
+        states |= {("f", q) for q in done_f}
+        result = NTA(states, alphabet, delta, ("s", transducer.initial))
         sp.set("states", len(result.states))
         sp.set("rules", len(result.delta))
-        obs.observe("ptime.rearranging_nta_size", len(result.states))
-        _add_attributed_states(
-            rule_states, len(result.states), "rearranging_nta",
-            structural=(("(seed)", 1), ("(sink)", 1)),
-        )
+        if obs.enabled():
+            # A transition out of ("s", q), ("p", q, q2) or ("f", q) runs q/a.
+            _credit_nta_states("rearranging_nta", result, 1)
         return result
-
-
-def _rearranging_nta_impl(
-    transducer: TopDownTransducer,
-    alphabet: Optional[Iterable[str]],
-    violation_filter: Optional[Callable[[str, str, str, str], bool]],
-) -> Tuple[NTA, Dict[Tuple[str, str], int]]:
-    alphabet = set(alphabet) if alphabet is not None else set(transducer.alphabet)
-    alphabet |= set(transducer.alphabet)
-    delta: Dict[Tuple[State, str], NFA] = {}
-    states: Set[State] = {_D}
-    eps_nfa = NFA([0], [], [], 0, [0])
-    delta[(_D, TEXT)] = eps_nfa
-    for symbol in alphabet:
-        delta[(_D, symbol)] = _pattern_nfa([], _D)
-
-    # Attribution: every s/p/f state is credited to the transducer rule
-    # whose expansion first needed it (the initial s-state and ``_D``
-    # are the caller's ``(seed)``/``(sink)`` structural roles).
-    attribute = obs.enabled()
-    rule_states: Dict[Tuple[str, str], int] = {}
-    current_rule: List[Optional[Tuple[str, str]]] = [None]
-
-    def credit() -> None:
-        rule = current_rule[0]
-        if attribute and rule is not None:
-            rule_states[rule] = rule_states.get(rule, 0) + 1
-
-    # f-states: reach a copied text value somewhere below.
-    f_needed: Set[str] = set()
-
-    def f_state(q: str) -> State:
-        if q not in f_needed:
-            f_needed.add(q)
-            credit()
-        return ("f", q)
-
-    # p-states: continue together, or split at the lca.
-    p_needed: Set[Tuple[str, str]] = set()
-
-    def p_state(q1: str, q2: str) -> State:
-        if (q1, q2) not in p_needed:
-            p_needed.add((q1, q2))
-            credit()
-        return ("p", q1, q2)
-
-    # s-states: agreement prefix.
-    s_needed: Set[str] = set()
-
-    def s_state(q: str) -> State:
-        if q not in s_needed:
-            s_needed.add(q)
-            credit()
-        return ("s", q)
-
-    initial = s_state(transducer.initial)
-
-    # Build rules lazily until no new states appear.
-    done_s: Set[str] = set()
-    done_p: Set[Tuple[str, str]] = set()
-    done_f: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for q in list(s_needed - done_s):
-            done_s.add(q)
-            changed = True
-            for symbol in alphabet:
-                current_rule[0] = (q, symbol)
-                frontier = transducer.rhs_frontier_states(q, symbol)
-                if not frontier:
-                    continue
-                patterns: List[NFA] = []
-                for q_next in set(frontier):
-                    patterns.append(_pattern_nfa([s_state(q_next)], _D))
-                # Order violation: q2' strictly before q1' among the
-                # frontier state occurrences (as a subsequence q2'.q1').
-                # Two sub-cases: the violation happens strictly above the
-                # lca (continue together in a p-state), or at the lca
-                # itself (split immediately: the run for the *left* leaf
-                # v1 continues in an earlier child than the run for v2).
-                seen_pairs = set()
-                for j1 in range(len(frontier)):
-                    for j2 in range(j1 + 1, len(frontier)):
-                        q2_next, q1_next = frontier[j1], frontier[j2]
-                        if (q1_next, q2_next) in seen_pairs:
-                            continue
-                        seen_pairs.add((q1_next, q2_next))
-                        if violation_filter is not None and not violation_filter(
-                            q, symbol, q1_next, q2_next
-                        ):
-                            continue
-                        patterns.append(_pattern_nfa([p_state(q1_next, q2_next)], _D))
-                        patterns.append(
-                            _pattern_nfa([f_state(q1_next), f_state(q2_next)], _D)
-                        )
-                delta[(s_state(q), symbol)] = _union_patterns(patterns, _D)
-        for (q1, q2) in list(p_needed - done_p):
-            done_p.add((q1, q2))
-            changed = True
-            for symbol in alphabet:
-                current_rule[0] = (q1, symbol)
-                targets1 = set(transducer.rhs_frontier_states(q1, symbol))
-                targets2 = set(transducer.rhs_frontier_states(q2, symbol))
-                patterns = []
-                for t1 in targets1:
-                    for t2 in targets2:
-                        # continue together toward the lca
-                        patterns.append(_pattern_nfa([p_state(t1, t2)], _D))
-                        # or split here: v1 into an earlier child than v2
-                        patterns.append(_pattern_nfa([f_state(t1), f_state(t2)], _D))
-                combined = _union_patterns(patterns, _D)
-                if combined is not None:
-                    delta[(("p", q1, q2), symbol)] = combined
-        for q in list(f_needed - done_f):
-            done_f.add(q)
-            changed = True
-            if q in transducer.text_states:
-                delta[(("f", q), TEXT)] = eps_nfa
-            for symbol in alphabet:
-                current_rule[0] = (q, symbol)
-                patterns = []
-                for q_next in set(transducer.rhs_frontier_states(q, symbol)):
-                    patterns.append(_pattern_nfa([f_state(q_next)], _D))
-                combined = _union_patterns(patterns, _D)
-                if combined is not None:
-                    delta[(("f", q), symbol)] = combined
-
-    states |= {("s", q) for q in done_s}
-    states |= {("p", q1, q2) for (q1, q2) in done_p}
-    states |= {("f", q) for q in done_f}
-    return NTA(states, alphabet, delta, initial), rule_states
 
 
 def _productive_site_filter(
@@ -629,7 +559,7 @@ def _productive_site_filter(
 
 
 def is_rearranging(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg" = None
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"] = None
 ) -> bool:
     """Lemma 4.10: PTIME test whether the transducer rearranges over
     ``L(nta)``."""
@@ -650,14 +580,9 @@ def is_rearranging(
         with obs.span("ptime.schema_product") as sp_product:
             product = intersect_nta(witness_nta, nta)
             sp_product.set("states", len(product.states))
-        obs.observe("ptime.schema_product_size", len(product.states))
-        if obs.enabled():
-            obs.observe("ptime.schema_product.ms", sp_product.duration_ns / 1e6)
         with obs.span("ptime.emptiness") as sp_empty:
             sp_empty.set("automaton", "rearranging_product")
             empty = product.is_empty()
-        if obs.enabled():
-            obs.observe("ptime.emptiness.ms", sp_empty.duration_ns / 1e6)
         sp.set("verdict", not empty)
         obs.info("ptime.rearranging", "rearranging decided",
                  rearranging=not empty, product_states=len(product.states))
@@ -679,19 +604,18 @@ def counter_example_nta(transducer: TopDownTransducer, nta: NTA) -> NTA:
 
 
 def is_text_preserving(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg" = None
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"] = None
 ) -> bool:
     """Theorem 4.11: PTIME decision whether the (admissible) top-down
     transducer is text-preserving over ``L(nta)``."""
     summary = _resolve_prefilter(transducer, nta, prefilter)
-    resolved: "PrefilterArg" = summary if summary is not None else False
-    return not is_copying(transducer, nta, prefilter=resolved) and not is_rearranging(
-        transducer, nta, prefilter=resolved
+    return not is_copying(transducer, nta, prefilter=summary) and not is_rearranging(
+        transducer, nta, prefilter=summary
     )
 
 
 def counter_example(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg" = None
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"] = None
 ) -> Optional[Tree]:
     """A smallest value-unique tree of ``L(nta)`` on which the
     transducer is not text-preserving, or ``None`` when it is
@@ -767,7 +691,7 @@ def copying_counter_example(transducer: TopDownTransducer, nta: NTA) -> Optional
 
 
 def copying_report(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg" = None
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"] = None
 ) -> Optional[CopyingReport]:
     """Localize copying: the witness path, its path runs, and the rule
     to blame — or ``None`` when the transducer does not copy over
@@ -781,9 +705,7 @@ def copying_report(
     if summary is not None and summary.copy_free:
         _log_skip("copying_report", "copy-degree")
         return None
-    word = copying_nfa(
-        transducer, nta, prefilter=summary if summary is not None else False
-    ).shortest_word()
+    word = copying_nfa(transducer, nta, prefilter=summary).shortest_word()
     if word is None:
         return None
     path = tuple(str(symbol) for symbol in word)
@@ -842,18 +764,8 @@ class RearrangingFinding:
     witness: Tree
 
 
-def rearranging_counter_example(transducer: TopDownTransducer, nta: NTA) -> Optional[Tree]:
-    """A smallest value-unique schema tree on which the transducer
-    *rearranges*, or ``None``."""
-    universe = set(nta.alphabet) | set(transducer.alphabet)
-    witness = intersect_nta(rearranging_nta(transducer, universe), nta).witness()
-    if witness is None:
-        return None
-    return make_value_unique(witness)
-
-
 def rearranging_findings(
-    transducer: TopDownTransducer, nta: NTA, prefilter: "PrefilterArg" = None
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional["DataflowSummary"] = None
 ) -> Tuple[RearrangingFinding, ...]:
     """All rule-level causes of rearranging over ``L(nta)``, smallest
     witnesses first; empty when the transducer does not rearrange.

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set,
 from .. import obs
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..lint.dataflow import PrefilterArg
+    from ..lint.dataflow import DataflowSummary
 from ..automata.nta import NTA, TEXT, intersect_nta
 from ..schema.dtd import DTD
 from ..strings.dfa import DFA, determinize
@@ -187,7 +187,7 @@ class _Evaluator:
     of ids, and concatenation and the single-tree step are memoized on
     ids, so ``_concat`` and ``_single_tree`` run once per distinct
     operand pair.  Callers decode ids at the boundary
-    (:meth:`initial_summary`, :meth:`decode`).
+    (:meth:`initial_summary`).
     """
 
     def __init__(self, transducer: TopDownTransducer, out: _OutputType) -> None:
@@ -212,10 +212,6 @@ class _Evaluator:
             found = self._ids[summary] = len(self._summaries)
             self._summaries.append(summary)
         return found
-
-    def decode(self, idents: _Ids) -> Tuple[Summary, ...]:
-        """The summaries of a vector or running product."""
-        return tuple(map(self._summaries.__getitem__, idents))
 
     def concat(self, left: int, right: int) -> int:
         key = (left, right)
@@ -275,44 +271,22 @@ class _Evaluator:
 
 
 class _Reached:
-    """The vectors (or running products) the fixpoint has reached: id
-    tuples, plus the set of their decoded forms.
+    """The vectors (or running products) the fixpoint has reached, as id
+    tuples named ``(prefix, i)`` in discovery order; ``work`` holds the
+    ones not yet expanded."""
 
-    The worklist walks the decoded set.  Its order follows the
-    summaries' hashes and fixes the order transitions are recorded in,
-    and with it which of several equally small witnesses is found;
-    walking the id tuples instead would change some witnesses.  Each
-    decoded tuple is decoded and hashed once, and maps back to its ids
-    by object identity, which is cheaper than hashing it again.
-    """
-
-    def __init__(self, evaluator: _Evaluator) -> None:
-        self._decode = evaluator.decode
-        self.ids: Set[_Ids] = set()
-        self._decoded: Set[Tuple[Summary, ...]] = set()
-        self._ids_of: Dict[int, _Ids] = {}
+    def __init__(self, prefix: str) -> None:
+        self.prefix = prefix
+        self.names: Dict[_Ids, Tuple[str, int]] = {}
         self.work: List[_Ids] = []
 
     def add(self, idents: _Ids) -> bool:
         """Record ``idents``; whether it was new (then it is queued)."""
-        if idents in self.ids:
+        if idents in self.names:
             return False
-        decoded = self._decode(idents)
-        self.ids.add(idents)
-        self._decoded.add(decoded)
-        self._ids_of[id(decoded)] = idents
+        self.names[idents] = (self.prefix, len(self.names))
         self.work.append(idents)
         return True
-
-    def walk(self) -> List[_Ids]:
-        """The id tuples, in the decoded set's order."""
-        return [self._ids_of[id(decoded)] for decoded in self._decoded]
-
-    def names(self, prefix: str) -> Dict[_Ids, Tuple[str, int]]:
-        """State names ``(prefix, i)``, numbered in ``repr`` order of the
-        decoded tuples."""
-        ordered = sorted(self._decoded, key=repr)
-        return {self._ids_of[id(decoded)]: (prefix, i) for i, decoded in enumerate(ordered)}
 
 
 def hedge_summary(transducer: TopDownTransducer, output_dtd: DTD, t: Tree) -> Summary:
@@ -345,143 +319,127 @@ def inverse_type_nta(
     DFAs computing the running product of child summaries.
     """
     with obs.span("typecheck.inverse_type") as sp:
-        result = _inverse_type_nta_impl(transducer, output_dtd, input_alphabet, accept_valid)
+        out = _output_type(output_dtd)
+        evaluator = _Evaluator(transducer, out)
+        sigma = tuple(sorted(set(input_alphabet)))
+
+        unit_product = (evaluator.unit,) * len(evaluator.states)
+        text_vector = evaluator.text_vector
+
+        # Discover reachable vectors and reachable running products with
+        # a worklist: each (product, vector) pair and each (symbol,
+        # product) pair is processed exactly once.
+        vectors = _Reached("v")
+        products = _Reached("h")
+        vectors.add(text_vector)
+        products.add(unit_product)
+        transitions_h: Dict[Tuple[_Ids, _Ids], _Ids] = {}
+        results: Dict[Tuple[str, _Ids], _Ids] = {}
+        concat = evaluator.concat
+
+        def pair(product: _Ids, vector: _Ids) -> None:
+            key = (product, vector)
+            if key in transitions_h:
+                return
+            combined = transitions_h[key] = tuple(map(concat, product, vector))
+            products.add(combined)
+
+        while products.work or vectors.work:
+            if products.work:
+                product = products.work.pop()
+                for vector in vectors.names:
+                    pair(product, vector)
+                for symbol in sigma:
+                    key2 = (symbol, product)
+                    if key2 not in results:
+                        vector = results[key2] = evaluator.combine(symbol, product)
+                        vectors.add(vector)
+            else:
+                vector = vectors.work.pop()
+                for product in list(products.names):
+                    pair(product, vector)
+
+        vector_name = vectors.names
+        product_name = products.names
+        delta: Dict[Tuple[object, str], NFA] = {}
+        # One shared horizontal transition structure (a DFA over vector
+        # symbols with product states); per-rule automata differ only in
+        # their final-state sets and share it structurally.
+        h_edges = [
+            (product_name[product], vector_name[vector], product_name[target])
+            for (product, vector), target in transitions_h.items()
+        ]
+        base_h = NFA(
+            product_name.values(), vector_name.values(), h_edges,
+            product_name[unit_product], [],
+        )
+        for symbol in sigma:
+            # Group the products by the vector they yield under `symbol`.
+            finals_of_vector: Dict[_Ids, Set[object]] = {}
+            for product, name in product_name.items():
+                vector = results[(symbol, product)]
+                finals_of_vector.setdefault(vector, set()).add(name)
+            for vector, finals in finals_of_vector.items():
+                delta[(vector_name[vector], symbol)] = base_h.with_finals(finals)
+        eps_nfa = NFA([0], [], [], 0, [0])
+        delta[(vector_name[text_vector], TEXT)] = eps_nfa
+
+        # Root: a fresh initial state accepting trees whose root vector
+        # is (in)valid.  The NTA needs one initial state: add q_root
+        # whose horizontal languages mirror those of the qualifying
+        # vectors.
+        root_vectors = [
+            vector for vector in vector_name if evaluator.root_ok(vector) == accept_valid
+        ]
+        from ..strings.nfa import union_nfa
+
+        for symbol in sigma:
+            parts = [
+                delta[(vector_name[vector], symbol)]
+                for vector in root_vectors
+                if (vector_name[vector], symbol) in delta
+            ]
+            if not parts:
+                continue
+            combined_nfa = parts[0]
+            for part in parts[1:]:
+                combined_nfa = union_nfa(combined_nfa, part)
+            delta[(("root",), symbol)] = combined_nfa
+        if text_vector in root_vectors:
+            delta[(("root",), TEXT)] = eps_nfa
+        states: Set[object] = set(vector_name.values()) | {("root",)}
+        result = NTA(states, sigma, delta, ("root",))
         sp.set("states", len(result.states))
-        obs.observe("typecheck.inverse_type_size", len(result.states))
+        # The EXPTIME blow-up gauge: peak reachable-vector automaton
+        # size across every inverse-type construction of the run.
+        obs.gauge_max("typecheck.inverse_type_states", len(result.states))
+        obs.add("typecheck.products", len(product_name))
         if obs.enabled():
-            # The EXPTIME blow-up gauge: peak reachable-vector automaton
-            # size across every inverse-type construction of the run.
-            obs.gauge_max("typecheck.inverse_type_states", len(result.states))
-            obs.observe("typecheck.inverse_type.ms", sp.duration_ns / 1e6)
-        obs.debug("typecheck", "inverse-type automaton built",
-                  states=len(result.states), accept_valid=accept_valid)
+            _credit_vectors(result)
         return result
 
 
-def _inverse_type_nta_impl(
-    transducer: TopDownTransducer,
-    output_dtd: DTD,
-    input_alphabet: Iterable[str],
-    accept_valid: bool,
-) -> NTA:
-    out = _output_type(output_dtd)
-    evaluator = _Evaluator(transducer, out)
-    sigma = tuple(sorted(set(input_alphabet)))
-
-    unit_product = (evaluator.unit,) * len(evaluator.states)
-    text_vector = evaluator.text_vector
-
-    # Discover reachable vectors and reachable running products with a
-    # worklist: each (product, vector) pair and each (symbol, product)
-    # pair is processed exactly once.
-    vectors = _Reached(evaluator)
-    products = _Reached(evaluator)
-    vectors.add(text_vector)
-    products.add(unit_product)
-    transitions_h: Dict[Tuple[_Ids, _Ids], _Ids] = {}
-    results: Dict[Tuple[str, _Ids], _Ids] = {}
-    concat = evaluator.concat
-
-    def pair(product: _Ids, vector: _Ids) -> None:
-        key = (product, vector)
-        if key in transitions_h:
-            return
-        combined = transitions_h[key] = tuple(map(concat, product, vector))
-        products.add(combined)
-
-    attribute = obs.enabled()
-    vectors_by_label: Dict[str, int] = {}
-    while products.work or vectors.work:
-        if products.work:
-            product = products.work.pop()
-            for vector in vectors.walk():
-                pair(product, vector)
-            for symbol in sigma:
-                key2 = (symbol, product)
-                if key2 not in results:
-                    vector = results[key2] = evaluator.combine(symbol, product)
-                    if vectors.add(vector) and attribute:
-                        # A fresh summary vector, credited to the input
-                        # label whose combine step discovered it.
-                        vectors_by_label[symbol] = vectors_by_label.get(symbol, 0) + 1
-        else:
-            vector = vectors.work.pop()
-            for product in products.walk():
-                pair(product, vector)
-
-    if obs.enabled():
-        attributed = 0
-        for symbol in sorted(vectors_by_label):
-            obs.add("typecheck.vectors", vectors_by_label[symbol],
-                    label=symbol, site="inverse_type")
-            attributed += vectors_by_label[symbol]
-        # The seed text vector is the only vector no label discovered,
-        # so the flat total stays exactly the number of vectors.
-        remainder = len(vectors.ids) - attributed
-        if remainder:
-            obs.add("typecheck.vectors", remainder)
-        obs.add("typecheck.products", len(products.ids))
-
-    # Name the states compactly.
-    vector_name = vectors.names("v")
-    product_name = products.names("h")
-
-    delta: Dict[Tuple[object, str], NFA] = {}
-    # One shared horizontal transition structure (a DFA over vector
-    # symbols with product states); per-rule automata differ only in
-    # their final-state sets and share it structurally.
-    h_states = list(product_name.values())
-    h_edges = [
-        (product_name[product], vector_name[vector], product_name[target])
-        for (product, vector), target in transitions_h.items()
-    ]
-    base_h = NFA(h_states, list(vector_name.values()), h_edges, product_name[unit_product], [])
-
-    product_order = products.walk()
-    for symbol in sigma:
-        # Group the products by the vector they yield under `symbol`.
-        finals_of_vector: Dict[_Ids, Set[object]] = {}
-        for product in product_order:
-            vector = results[(symbol, product)]
-            finals_of_vector.setdefault(vector, set()).add(product_name[product])
-        for vector, finals in finals_of_vector.items():
-            delta[(vector_name[vector], symbol)] = base_h.with_finals(finals)
-    eps_nfa = NFA([0], [], [], 0, [0])
-    delta[(vector_name[text_vector], TEXT)] = eps_nfa
-
-    # Root: a fresh initial state accepting trees whose root vector is
-    # (in)valid.  The NTA needs one initial state: add q_root whose
-    # horizontal languages mirror those of the qualifying vectors.
-    root_vectors = [
-        vector
-        for vector in vectors.walk()
-        if evaluator.root_ok(vector) == accept_valid
-    ]
-    states: Set[object] = set(vector_name.values()) | {("root",)}
-    from ..strings.nfa import union_nfa
-
-    for symbol in sigma:
-        parts = [
-            delta[(vector_name[vector], symbol)]
-            for vector in root_vectors
-            if (vector_name[vector], symbol) in delta
-        ]
-        if not parts:
-            continue
-        combined_nfa = parts[0]
-        for part in parts[1:]:
-            combined_nfa = union_nfa(combined_nfa, part)
-        delta[(("root",), symbol)] = combined_nfa
-    if text_vector in root_vectors:
-        delta[(("root",), TEXT)] = eps_nfa
-    return NTA(states, sigma, delta, ("root",))
+def _credit_vectors(inverse_type: NTA) -> None:
+    """Count ``typecheck.vectors``, one per vector state, each credited
+    to the least input label among the transitions entering it (a
+    node with that label can evaluate to the vector; the text vector's
+    own transition is ``text``).  A function of the automaton alone."""
+    least: Dict[object, str] = {}
+    for state, symbol in inverse_type.delta:
+        if state != inverse_type.initial and (state not in least or symbol < least[state]):
+            least[state] = symbol
+    credit: Dict[str, int] = {}
+    for label in least.values():
+        credit[label] = credit.get(label, 0) + 1
+    for label in sorted(credit):
+        obs.add("typecheck.vectors", credit[label], label=label, site="inverse_type")
 
 
 def typechecks(
     transducer: TopDownTransducer,
     input_schema: NTA,
     output_dtd: DTD,
-    prefilter: "PrefilterArg" = None,
+    prefilter: Optional["DataflowSummary"] = None,
 ) -> bool:
     """Whether ``T(t)`` is valid w.r.t. the output DTD for *every*
     ``t ∈ L(input_schema)`` (EXPTIME in general).
@@ -532,9 +490,6 @@ def typechecks(
             product = intersect_nta(bad, input_schema)
             inner.set("states", len(product.states))
             verdict = product.is_empty()
-        obs.observe("typecheck.product_size", len(product.states))
-        if obs.enabled():
-            obs.observe("typecheck.emptiness.ms", inner.duration_ns / 1e6)
         sp.set("verdict", verdict)
         obs.info("typecheck", "typecheck decided",
                  typechecks=verdict, product_states=len(product.states))

@@ -44,10 +44,10 @@ __all__ = [
     "ResultCache",
 ]
 
-#: Bumped whenever the analysis engine's verdicts or witnesses change;
-#: part of every cache key, so stale results can never survive an
-#: engine upgrade.
-ENGINE_VERSION = "repro-1.0.0/corpus-3"
+#: Bumped whenever the analysis engine's verdicts, witnesses or the
+#: attribution in cached observations change; part of every cache key,
+#: so stale results can never survive an engine upgrade.
+ENGINE_VERSION = "repro-1.0.0/corpus-4"
 
 #: Default cache directory name, created inside the corpus directory.
 DEFAULT_CACHE_DIRNAME = ".repro-cache"

@@ -47,7 +47,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .. import obs
 from ..lint import severity_order
@@ -121,24 +121,6 @@ class ProgressListener:
 
     def finish(self) -> None:
         pass
-
-
-class _CallableListener(ProgressListener):
-    """Adapter keeping the legacy ``progress=callable`` contract: the
-    same strings the engine always emitted, one call per message."""
-
-    def __init__(self, say: Callable[[str], None]) -> None:
-        self._say = say
-
-    def begin(self, total: int, cache_hits: int, to_run: int) -> None:
-        self._say("%d jobs: %d cache hits, %d to run" % (total, cache_hits, to_run))
-
-    def job_done(self, result: "JobResult", done: int, to_run: int) -> None:
-        if result.verdict != "safe":
-            self._say("%-7s %s" % (result.verdict, result.job_id))
-
-    def message(self, text: str) -> None:
-        self._say(text)
 
 
 class _JournalTee(ProgressListener):
@@ -283,16 +265,6 @@ class ProgressReporter(ProgressListener):
             self.stream.write("\r\x1b[2K")
             self.stream.flush()
             self._line_open = False
-
-
-def _as_listener(
-    progress: Union[ProgressListener, Callable[[str], None], None]
-) -> ProgressListener:
-    if progress is None:
-        return ProgressListener()
-    if isinstance(progress, ProgressListener):
-        return progress
-    return _CallableListener(progress)
 
 
 def _pool_worker_signals() -> None:
@@ -833,7 +805,7 @@ def run_corpus(
     timeout: Optional[float] = None,
     cache: Optional[ResultCache] = None,
     engine_version: str = ENGINE_VERSION,
-    progress: Union[ProgressListener, Callable[[str], None], None] = None,
+    progress: Optional[ProgressListener] = None,
     heartbeat: float = 1.0,
     stall_after: Optional[float] = None,
     status_file: Optional[str] = None,
@@ -845,10 +817,9 @@ def run_corpus(
     rest fan out over worker processes — and return the sorted summary
     (worst verdicts first).
 
-    ``progress`` accepts either a :class:`ProgressListener` or, for
-    backward compatibility, a plain ``callable(str)`` that receives the
-    legacy message strings.  ``heartbeat`` is the listener's tick
-    period in seconds while workers are busy.
+    ``progress`` is the :class:`ProgressListener` told about the run
+    (none by default).  ``heartbeat`` is the listener's tick period in
+    seconds while workers are busy.
 
     ``stall_after`` and ``status_file`` enable the live telemetry
     sideband (see :mod:`repro.corpus.telemetry`): workers stream
@@ -873,7 +844,7 @@ def run_corpus(
     appended as they happen (the crash-safe record ``batch --journal``
     and the serve dispatcher build on).
     """
-    listener = _as_listener(progress)
+    listener = progress if progress is not None else ProgressListener()
     if journal is not None:
         listener = _JournalTee(listener, journal)
     start = time.perf_counter()

@@ -29,13 +29,11 @@ from .config import (
     NO_PREFILTER_ENV,
     prefilter_disabled,
     prefilter_enabled,
-    set_prefilter,
 )
 from .framework import (
     DataflowSummary,
     PassSpec,
     PassStats,
-    PrefilterArg,
     Rule,
     RuleGraph,
     SummaryBuilder,
@@ -54,7 +52,6 @@ __all__ = [
     "DataflowSummary",
     "PassSpec",
     "PassStats",
-    "PrefilterArg",
     "Rule",
     "RuleGraph",
     "SummaryBuilder",
@@ -69,6 +66,5 @@ __all__ = [
     "run_passes",
     "prefilter_enabled",
     "prefilter_disabled",
-    "set_prefilter",
     "NO_PREFILTER_ENV",
 ]

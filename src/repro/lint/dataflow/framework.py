@@ -35,7 +35,6 @@ from typing import (
     Set,
     Tuple,
     TypeVar,
-    Union,
 )
 
 from ... import obs
@@ -57,7 +56,6 @@ __all__ = [
     "dependency_closure",
     "run_passes",
     "analyze",
-    "PrefilterArg",
     "resolve_prefilter",
     "log_skip",
     "clear_cache",
@@ -445,22 +443,16 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-#: ``prefilter=`` argument convention of the decision procedures:
-#: ``None`` — consult the global switch; ``False`` — force off;
-#: ``True`` — force on; a summary — use it as-is.
-PrefilterArg = Union[None, bool, DataflowSummary]
-
-
 def resolve_prefilter(
-    transducer: TopDownTransducer, nta: NTA, prefilter: PrefilterArg
+    transducer: TopDownTransducer, nta: NTA, prefilter: Optional[DataflowSummary]
 ) -> Optional[DataflowSummary]:
-    """Resolve a decision procedure's ``prefilter`` argument to a
-    summary (or ``None`` when pre-filtering is off)."""
-    if isinstance(prefilter, DataflowSummary):
+    """Resolve a decision procedure's ``prefilter`` argument: a summary
+    is used as it is; ``None`` means the full summary when the process
+    switch (:func:`prefilter_enabled`) is on, and no pre-filtering when
+    it is off."""
+    if prefilter is not None:
         return prefilter
-    if prefilter is False:
-        return None
-    if prefilter is None and not prefilter_enabled():
+    if not prefilter_enabled():
         return None
     return analyze(transducer, nta)
 

@@ -27,11 +27,10 @@ Soundness directions (see DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ...automata.nta import TEXT
 from ...core.topdown import RuleHedge, _rhs_labels, _rhs_states
-from ...core.topdown_analysis import _useful_child_states
 from .framework import (
     PassSpec,
     PassStats,
@@ -84,7 +83,7 @@ def _run_reachability(graph: RuleGraph, builder: SummaryBuilder) -> PassStats:
                 builder.uncovered.setdefault((state, label), schema_state)
                 continue
             builder.realizable.add((state, label))
-            children = _useful_child_states(nta, schema_state, label)
+            children = nta.useful_child_states(schema_state, label)
             for target in set(transducer.rhs_frontier_states(state, label)):
                 for child in children:
                     config = (target, child)

@@ -34,7 +34,7 @@ from ..core.topdown_analysis import (
     rearranging_findings,
 )
 from ..schema.dtd import DTD, dtd_to_nta
-from .dataflow import DataflowSummary, PrefilterArg
+from .dataflow import DataflowSummary
 from .dataflow import analyze as dataflow_analyze
 from .dataflow import dependency_closure, prefilter_enabled
 from .diagnostics import Diagnostic, SourceInfo, severity_order
@@ -69,10 +69,6 @@ class LintContext:
     #: Dataflow pass selection (``None`` = the full pipeline); closed
     #: under dependencies by the pass manager.
     passes: Optional[Tuple[str, ...]] = None
-    #: Whether the expensive decision procedures may consult the
-    #: dataflow summary as a sound pre-filter (also subject to the
-    #: global :func:`repro.lint.dataflow.prefilter_enabled` switch).
-    use_prefilter: bool = True
 
     def __post_init__(self) -> None:
         if isinstance(self.schema, DTD):
@@ -121,12 +117,13 @@ class LintContext:
             ),
         )
 
-    def prefilter(self) -> PrefilterArg:
+    def prefilter(self) -> Optional[DataflowSummary]:
         """The ``prefilter=`` argument handed to the decision
-        procedures: the dataflow summary when pre-filtering is on,
-        ``False`` (explicitly disabled) otherwise."""
-        if not self.use_prefilter or not prefilter_enabled():
-            return False
+        procedures: the memoized dataflow summary while the process
+        switch (:func:`repro.lint.dataflow.prefilter_enabled`) is on,
+        ``None`` (which the procedures resolve to off) otherwise."""
+        if not prefilter_enabled():
+            return None
         return self.dataflow()
 
     def _configs(self) -> Tuple[Set[Tuple[str, str]], Dict[Tuple[str, str], Any], Dict[str, Any]]:
@@ -225,7 +222,6 @@ def run_lint(
     compute_subschema: bool = True,
     rules: Optional[Sequence[LintRule]] = None,
     passes: Optional[Iterable[str]] = None,
-    prefilter: bool = True,
 ) -> List[Diagnostic]:
     """Run the diagnostics engine on a transducer/schema pair.
 
@@ -253,10 +249,11 @@ def run_lint(
         Restrict the dataflow pipeline to these passes (closed under
         dependencies; ``None`` runs all five).  Unknown names raise
         ``ValueError`` naming the valid set.
-    prefilter:
-        Whether the TP3xx decision procedures may consult the dataflow
-        summary as a sound pre-filter.  Findings are identical either
-        way; only the work differs.
+
+    The TP3xx decision procedures consult the dataflow summary as a
+    sound pre-filter unless the process switch is off (see
+    :mod:`repro.lint.dataflow.config`); findings are identical either
+    way, only the work differs.
 
     Returns diagnostics sorted most-severe first, then by code.
     """
@@ -275,7 +272,6 @@ def run_lint(
         sources=sources if sources is not None else SourceInfo(),
         compute_subschema=compute_subschema,
         passes=selected_passes,
-        use_prefilter=prefilter,
     )
     selected = tuple(rules) if rules is not None else default_rules()
     if codes is not None:

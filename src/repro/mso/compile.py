@@ -410,11 +410,6 @@ def compile_mso(
         result = _compile(formula, sigma_tuple, trim)
         sp.set("bta_states", len(result.bta.states))
         obs.gauge_max("mso.compile.automaton_states", len(result.bta.states))
-        obs.observe("mso.compile.bta_size", len(result.bta.states))
-        obs.observe("mso.compile.ms", sp.duration_ns / 1e6)
-        obs.debug("mso.compile", "formula compiled",
-                  formula_size=formula_size(formula),
-                  bta_states=len(result.bta.states))
         return result
 
 
@@ -468,7 +463,6 @@ def _compile_uncached(formula: Formula, sigma: Tuple[str, ...], trim: bool) -> C
             bta = bta.trim()
         if obs.enabled():
             obs.gauge_max("mso.max_bta_states", len(bta.states))
-            obs.observe("mso.node_size", len(bta.states))
             # Per-formula-node attribution of automaton growth: which
             # connective (Not, And, ExistsSO, ...) the states belong to.
             obs.add("mso.node_states", len(bta.states),

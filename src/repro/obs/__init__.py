@@ -13,8 +13,8 @@ blow-up.  This package makes that growth observable:
   and gauges per subsystem (``nta.*``, ``ptime.*``, ``mso.*``,
   ``xpath.*``, ``typecheck.*``, ``safety.*``, ``lint.*``,
   ``oracle.*``);
-* exporters — text tree, round-trippable JSON, and Chrome
-  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto;
+* exporters — text tree and Chrome ``trace_event`` JSON for
+  ``chrome://tracing`` / Perfetto;
 * ``obs.Snapshot`` — a picklable, mergeable view of a recorder's
   counters/gauges, used to ship per-job observations across the
   :mod:`repro.corpus` worker-process boundary;
@@ -49,14 +49,11 @@ from .attr import (
     render_attribution,
 )
 from .export import (
-    from_dict,
-    render_json,
     render_text,
     span_from_dict,
     span_to_dict,
     spans_from_chrome_trace,
     to_chrome_trace,
-    to_dict,
     write_chrome_trace,
 )
 from .log import (
@@ -104,7 +101,6 @@ from .journal import (
 )
 from .metrics import (
     Histogram,
-    Meter,
     SampleSeries,
     metric_family_name,
     read_timeline_jsonl,
@@ -123,13 +119,11 @@ from .recorder import (
     enabled,
     gauge_max,
     label_key,
-    mark,
     observe,
     recording,
     sample,
     set_gauge,
     span,
-    timed,
 )
 from .snapshot import (
     Snapshot,
@@ -184,11 +178,8 @@ __all__ = [
     "set_gauge",
     "gauge_max",
     "observe",
-    "mark",
     "sample",
-    "timed",
     "Histogram",
-    "Meter",
     "SampleSeries",
     "render_openmetrics",
     "validate_openmetrics",
@@ -198,9 +189,6 @@ __all__ = [
     "sniff_jsonl_kind",
     "NULL_SPAN",
     "render_text",
-    "to_dict",
-    "from_dict",
-    "render_json",
     "span_to_dict",
     "span_from_dict",
     "to_chrome_trace",

@@ -1,14 +1,11 @@
-"""Exporters for recorded runs: text tree, JSON, Chrome trace_event.
+"""Exporters for recorded runs: text tree and Chrome trace_event.
 
-Three views of one :class:`~repro.obs.recorder.Recorder`:
+Two views of one :class:`~repro.obs.recorder.Recorder`:
 
 * :func:`render_text` — an indented span tree with per-phase wall time,
   percentage of the enclosing span, and attributes, followed by the
   counter/gauge tables.  This is what ``python -m repro profile``
   prints.
-* :func:`to_dict` / :func:`render_json` — a faithful JSON document
-  (``from_dict`` round-trips it), for archiving alongside benchmark
-  numbers.
 * :func:`to_chrome_trace` — the Chrome ``trace_event`` JSON object
   format (complete ``"X"`` events plus one metadata event), loadable in
   ``chrome://tracing`` and Perfetto.  Span ids/parents ride in ``args``
@@ -30,9 +27,6 @@ from .recorder import Recorder, Span
 
 __all__ = [
     "render_text",
-    "to_dict",
-    "from_dict",
-    "render_json",
     "span_to_dict",
     "span_from_dict",
     "to_chrome_trace",
@@ -99,20 +93,11 @@ def render_text(recorder: Recorder) -> str:
                 % (width, name, int(stats["count"]), stats["p50"],
                    stats["p90"], stats["p99"], stats["max"])
             )
-    if recorder.meters:
-        lines.append("")
-        lines.append("meters:")
-        width = max(len(name) for name in recorder.meters)
-        for name in sorted(recorder.meters):
-            meter = recorder.meters[name]
-            lines.append(
-                "  %-*s  n=%g rate=%.3f/s" % (width, name, meter.count, meter.rate())
-            )
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# JSON (round-trippable)
+# Span JSON (the form Snapshot documents carry)
 # ---------------------------------------------------------------------------
 
 
@@ -138,53 +123,6 @@ def span_from_dict(payload: Dict[str, Any]) -> Span:
     span.attrs = dict(payload.get("attrs", {}))
     span.children = [span_from_dict(child) for child in payload.get("children", ())]
     return span
-
-
-def to_dict(recorder: Recorder) -> Dict[str, Any]:
-    """A JSON-ready document of the whole run.  Counter/gauge keys are
-    sorted so the export is byte-stable regardless of the order the
-    instrumented code happened to touch them in."""
-    from .log import events_to_dicts
-    from .metrics import registry_to_jsonable
-    from .snapshot import labeled_to_jsonable
-
-    return {
-        "version": 1,
-        "spans": [span_to_dict(root) for root in recorder.spans],
-        "counters": {name: recorder.counters[name] for name in sorted(recorder.counters)},
-        "gauges": {name: recorder.gauges[name] for name in sorted(recorder.gauges)},
-        "labeled": labeled_to_jsonable(recorder.labeled),
-        "histograms": registry_to_jsonable(recorder.histograms),
-        "meters": registry_to_jsonable(recorder.meters),
-        "samples": registry_to_jsonable(recorder.samples),
-        "events": events_to_dicts(recorder),
-    }
-
-
-def from_dict(payload: Dict[str, Any]) -> Recorder:
-    """Rebuild a recorder from :func:`to_dict` output."""
-    from .log import LogEvent
-    from .metrics import (
-        histograms_from_jsonable,
-        meters_from_jsonable,
-        samples_from_jsonable,
-    )
-    from .snapshot import labeled_from_jsonable
-
-    rec = Recorder()
-    rec.spans = [span_from_dict(span) for span in payload.get("spans", ())]
-    rec.counters = dict(payload.get("counters", {}))
-    rec.gauges = dict(payload.get("gauges", {}))
-    rec.labeled = labeled_from_jsonable(payload.get("labeled", {}))
-    rec.histograms = histograms_from_jsonable(payload.get("histograms", {}))
-    rec.meters = meters_from_jsonable(payload.get("meters", {}))
-    rec.samples = samples_from_jsonable(payload.get("samples", {}))
-    rec.events = [LogEvent.from_dict(event) for event in payload.get("events", ())]
-    return rec
-
-
-def render_json(recorder: Recorder) -> str:
-    return json.dumps(to_dict(recorder), indent=2, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ Record vocabulary (the ``type`` field):
     journaled by the daemon.
 ``snapshot``
     a full :class:`repro.obs.Snapshot` dict (spans, events, counters,
-    gauges, histograms, meters) — per request on the daemon, per run
+    gauges, histograms) — per request on the daemon, per run
     for ``batch --journal``.  This is what makes replay exact: the
     snapshot carries span open/close and metric state through the
     same merge machinery live reporting uses.
@@ -508,7 +508,7 @@ class JournalReplay:
 
         recorder = self.to_recorder()
         return render_openmetrics(recorder.counters, recorder.gauges,
-                                  recorder.histograms, recorder.meters)
+                                  recorder.histograms)
 
     def corpus_doc(self) -> Optional[Dict[str, Any]]:
         if not self.jobs:

@@ -1,4 +1,4 @@
-"""Live-metrics primitives: log₂ histograms, rate meters, sampled gauges.
+"""Live-metrics primitives: log₂ histograms and sampled gauges.
 
 The counters and gauges of :mod:`repro.obs.recorder` are *aggregates*:
 one number per name, known only after the run.  A long-running audit
@@ -13,14 +13,11 @@ EXPTIME hot paths) needs *distributions* and *time series*:
   ``ProcessPool`` boundary.  ``p50/p90/p99`` come from linear
   interpolation inside the winning bucket, clamped to the observed
   ``min``/``max``.
-* :class:`Meter` — an event-rate meter: a count plus the elapsed
-  observation window.  Merging keeps the *longest* window (workers run
-  concurrently, so windows overlap rather than add).
 * :class:`SampleSeries` — a bounded time series of periodic gauge
   samples (wall-clock ``ts`` + value), the backing store of the
   ``--metrics`` JSONL timeline.
 
-All three serialize to plain JSON with **deterministically ordered
+Both serialize to plain JSON with **deterministically ordered
 keys** (bucket lists sorted by upper bound, registry maps sorted by
 name), so two runs of the same work produce byte-identical exposition
 regardless of ``PYTHONHASHSEED`` or insertion order.
@@ -45,14 +42,12 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, TextIO, Tuple, 
 
 __all__ = [
     "Histogram",
-    "Meter",
     "SampleSeries",
     "bucket_index",
     "bucket_upper_bound",
     "merge_registry",
     "registry_to_jsonable",
     "histograms_from_jsonable",
-    "meters_from_jsonable",
     "samples_from_jsonable",
     "render_openmetrics",
     "validate_openmetrics",
@@ -201,55 +196,6 @@ class Histogram:
         )
 
 
-class Meter:
-    """An event-rate meter: total count over an observation window.
-
-    The window is the span between the first and most recent
-    :meth:`mark` (monotonic clock).  Windows from concurrent processes
-    overlap, so :meth:`merge` keeps the longest window rather than
-    adding — the merged rate reads "events per second of wall time",
-    not a sum of per-worker rates.
-    """
-
-    __slots__ = ("count", "elapsed_ns", "_first_ns")
-
-    def __init__(self) -> None:
-        self.count = 0.0
-        self.elapsed_ns = 0
-        self._first_ns: Optional[int] = None
-
-    def mark(self, n: float = 1) -> None:
-        now = time.perf_counter_ns()
-        if self._first_ns is None:
-            self._first_ns = now
-        self.elapsed_ns = now - self._first_ns
-        self.count += n
-
-    def merge(self, other: "Meter") -> None:
-        self.count += other.count
-        if other.elapsed_ns > self.elapsed_ns:
-            self.elapsed_ns = other.elapsed_ns
-
-    def rate(self) -> float:
-        """Events per second over the window (0.0 for a single mark)."""
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.count / (self.elapsed_ns / 1e9)
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        return {"count": self.count, "elapsed_ns": self.elapsed_ns}
-
-    @classmethod
-    def from_jsonable(cls, payload: Mapping[str, Any]) -> "Meter":
-        meter = cls()
-        meter.count = float(payload.get("count", 0))
-        meter.elapsed_ns = int(payload.get("elapsed_ns", 0))
-        return meter
-
-    def __repr__(self) -> str:
-        return "Meter(count=%g, rate=%.3f/s)" % (self.count, self.rate())
-
-
 class SampleSeries:
     """A bounded time series of periodic gauge samples."""
 
@@ -301,13 +247,13 @@ class SampleSeries:
 # Registry helpers (used by Recorder and Snapshot)
 # ---------------------------------------------------------------------------
 
-_Mergeable = Union[Histogram, Meter, SampleSeries]
+_Mergeable = Union[Histogram, SampleSeries]
 
 
 def merge_registry(
     into: Dict[str, Any], other: Mapping[str, Any]
 ) -> None:
-    """Fold one ``name -> Histogram|Meter|SampleSeries`` registry into
+    """Fold one ``name -> Histogram|SampleSeries`` registry into
     another in place; missing names are deep-copied via the JSON form
     so the merged registry never aliases the source."""
     for name, value in other.items():
@@ -325,10 +271,6 @@ def registry_to_jsonable(registry: Mapping[str, _Mergeable]) -> Dict[str, Any]:
 
 def histograms_from_jsonable(payload: Mapping[str, Any]) -> Dict[str, Histogram]:
     return {str(k): Histogram.from_jsonable(v) for k, v in payload.items()}
-
-
-def meters_from_jsonable(payload: Mapping[str, Any]) -> Dict[str, Meter]:
-    return {str(k): Meter.from_jsonable(v) for k, v in payload.items()}
 
 
 def samples_from_jsonable(payload: Mapping[str, Any]) -> Dict[str, SampleSeries]:
@@ -365,7 +307,6 @@ def render_openmetrics(
     counters: Mapping[str, float],
     gauges: Mapping[str, float],
     histograms: Mapping[str, Histogram],
-    meters: Mapping[str, Meter],
 ) -> str:
     """The Prometheus/OpenMetrics text exposition of one run's
     registries.  Families are emitted in sorted order with ``# HELP``
@@ -388,18 +329,6 @@ def render_openmetrics(
         families.append((
             family, "gauge", name,
             ["%s %s" % (family, _format_number(gauges[name]))],
-        ))
-    for name in meters:
-        meter = meters[name]
-        family = metric_family_name(name) + "_rate"
-        families.append((
-            family, "gauge", name,
-            ["%s %s" % (family, _format_number(meter.rate()))],
-        ))
-        count_family = metric_family_name(name) + "_events"
-        families.append((
-            count_family, "counter", name,
-            ["%s_total %s" % (count_family, _format_number(meter.count))],
         ))
     for name in histograms:
         histogram = histograms[name]

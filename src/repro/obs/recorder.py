@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .metrics import Histogram, Meter, SampleSeries
+from .metrics import Histogram, SampleSeries
 
 __all__ = [
     "Span",
@@ -156,7 +156,7 @@ class Recorder:
     """
 
     __slots__ = ("spans", "counters", "gauges", "labeled", "events",
-                 "histograms", "meters", "samples",
+                 "histograms", "samples",
                  "log_level", "max_events", "_stack", "_next_span_id")
 
     def __init__(self, log_level: Optional[int] = None,
@@ -172,7 +172,6 @@ class Recorder:
         # from the flat counters so observing a histogram can never
         # perturb the exact work-counter comparisons.
         self.histograms: Dict[str, Histogram] = {}
-        self.meters: Dict[str, Meter] = {}
         self.samples: Dict[str, SampleSeries] = {}
         self.events: List[Any] = []  # LogEvent, kept untyped to avoid a cycle
         self.log_level = log_level  # None = event logging off
@@ -254,13 +253,6 @@ class Recorder:
         if histogram is None:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
-
-    def mark(self, name: str, n: float = 1) -> None:
-        """Tick the named rate meter ``n`` events."""
-        meter = self.meters.get(name)
-        if meter is None:
-            meter = self.meters[name] = Meter()
-        meter.mark(n)
 
     def sample(self, name: str, value: float, ts: Optional[float] = None) -> None:
         """Append one periodic sample to the named time series."""
@@ -378,13 +370,6 @@ def observe(name: str, value: float) -> None:
         rec.observe(name, value)
 
 
-def mark(name: str, n: float = 1) -> None:
-    """Tick an event-rate meter (no-op when off)."""
-    rec = _RECORDER.get()
-    if rec is not None:
-        rec.mark(name, n)
-
-
 def sample(name: str, value: float) -> None:
     """Append a periodic sample to a bounded time series (no-op when
     off).  Sampled series feed the ``--metrics`` JSONL timeline."""
@@ -392,20 +377,3 @@ def sample(name: str, value: float) -> None:
     if rec is not None:
         rec.sample(name, value)
 
-
-@contextmanager
-def timed(name: str) -> Iterator[None]:
-    """Time the block into the named histogram, in milliseconds.
-
-    Disabled mode takes the no-recorder fast path before touching the
-    clock, so an uninstrumented run pays only the ContextVar read.
-    """
-    rec = _RECORDER.get()
-    if rec is None:
-        yield
-        return
-    start = time.perf_counter_ns()
-    try:
-        yield
-    finally:
-        rec.observe(name, (time.perf_counter_ns() - start) / 1e6)

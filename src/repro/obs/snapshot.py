@@ -30,11 +30,9 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .metrics import (
     Histogram,
-    Meter,
     SampleSeries,
     histograms_from_jsonable,
     merge_registry,
-    meters_from_jsonable,
     registry_to_jsonable,
     samples_from_jsonable,
 )
@@ -151,7 +149,6 @@ class Snapshot:
     spans: List[Dict[str, Any]] = field(default_factory=list)
     labeled: Dict[str, Dict[LabelKey, float]] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
-    meters: Dict[str, Meter] = field(default_factory=dict)
     samples: Dict[str, SampleSeries] = field(default_factory=dict)
 
     @classmethod
@@ -169,14 +166,13 @@ class Snapshot:
             spans=[span_to_dict(root) for root in recorder.spans],
             labeled={name: dict(by_key) for name, by_key in recorder.labeled.items()},
             histograms=_copy_registry(recorder.histograms),
-            meters=_copy_registry(recorder.meters),
             samples=_copy_registry(recorder.samples),
         )
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready document (``from_dict`` round-trips it).
         Version 4 adds the metrics registries (``histograms``,
-        ``meters``, ``samples``); version 3 added ``labeled``."""
+        ``samples``); version 3 added ``labeled``."""
         out: Dict[str, Any] = {
             "version": 4,
             "counters": dict(self.counters),
@@ -187,8 +183,6 @@ class Snapshot:
             out["labeled"] = labeled_to_jsonable(self.labeled)
         if self.histograms:
             out["histograms"] = registry_to_jsonable(self.histograms)
-        if self.meters:
-            out["meters"] = registry_to_jsonable(self.meters)
         if self.samples:
             out["samples"] = registry_to_jsonable(self.samples)
         if self.events:
@@ -210,7 +204,6 @@ class Snapshot:
             spans=[dict(span) for span in payload.get("spans", ())],
             labeled=labeled_from_jsonable(payload.get("labeled", {})),
             histograms=histograms_from_jsonable(payload.get("histograms", {})),
-            meters=meters_from_jsonable(payload.get("meters", {})),
             samples=samples_from_jsonable(payload.get("samples", {})),
         )
 
@@ -228,9 +221,8 @@ class Snapshot:
     def without_replayable_state(self) -> "Snapshot":
         """A copy carrying only the registries — what a result cache
         should store, so a cache hit never replays stale log events or
-        span trees as if the work had happened again.  The labeled,
-        histogram, and meter registries merge like counters, so they
-        stay; the sampled time series is replayable state (wall-clock
+        span trees as if the work had happened again.  The labeled and
+        histogram registries merge like counters, so they stay; the sampled time series is replayable state (wall-clock
         stamped), so it is dropped along with events and spans."""
         return Snapshot(
             counters=dict(self.counters),
@@ -238,7 +230,6 @@ class Snapshot:
             wall_time_ns=self.wall_time_ns,
             labeled={name: dict(by_key) for name, by_key in self.labeled.items()},
             histograms=_copy_registry(self.histograms),
-            meters=_copy_registry(self.meters),
         )
 
     def _id_map_for(self, taken: List[int]) -> Tuple[Dict[int, int], int]:
@@ -267,8 +258,6 @@ class Snapshot:
         merge_labeled(labeled, other.labeled)
         histograms = _copy_registry(self.histograms)
         merge_registry(histograms, other.histograms)
-        meters = _copy_registry(self.meters)
-        merge_registry(meters, other.meters)
         samples = _copy_registry(self.samples)
         merge_registry(samples, other.samples)
         id_map, _ = other._id_map_for(_collect_ids(self.spans))
@@ -282,7 +271,6 @@ class Snapshot:
             + _remap_spans(other.spans, id_map),
             labeled=labeled,
             histograms=histograms,
-            meters=meters,
             samples=samples,
         )
 
@@ -307,8 +295,7 @@ class Snapshot:
             for key, value in by_key.items():
                 recorder.add_labeled_raw(prefix + name, key, value)
         # The metrics registries merge by their own semantics: histogram
-        # buckets add, meter windows keep the longest, sampled series
-        # interleave by timestamp.  Prefixes namespace them like the
+        # buckets add, sampled series interleave by timestamp.  Prefixes namespace them like the
         # flat registries.
         if prefix:
             merge_registry(
@@ -316,16 +303,11 @@ class Snapshot:
                 {prefix + name: h for name, h in self.histograms.items()},
             )
             merge_registry(
-                recorder.meters,
-                {prefix + name: m for name, m in self.meters.items()},
-            )
-            merge_registry(
                 recorder.samples,
                 {prefix + name: s for name, s in self.samples.items()},
             )
         else:
             merge_registry(recorder.histograms, self.histograms)
-            merge_registry(recorder.meters, self.meters)
             merge_registry(recorder.samples, self.samples)
         if not self.events and not self.spans:
             return

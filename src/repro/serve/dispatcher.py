@@ -752,7 +752,6 @@ class Dispatcher:
                 self._recorder.counters,
                 self._recorder.gauges,
                 self._recorder.histograms,
-                self._recorder.meters,
             )
 
     # -- the status file ---------------------------------------------------

@@ -113,8 +113,6 @@ def path_expr_to_mso(
         if obs.enabled():
             obs.add("xpath.translations")
             obs.add("xpath.mso_formula_size", formula_size(result))
-            obs.debug("xpath.to_mso", "path expression translated",
-                      mso_formula_size=formula_size(result))
         return result
     if isinstance(expression, Axis):
         return _axis_formula(expression.axis, x, y, fresh)
@@ -151,8 +149,6 @@ def node_expr_to_mso(expression: NodeExpr, x: str, fresh: FreshVars = None) -> F
         if obs.enabled():
             obs.add("xpath.translations")
             obs.add("xpath.mso_formula_size", formula_size(result))
-            obs.debug("xpath.to_mso", "node expression translated",
-                      mso_formula_size=formula_size(result))
         return result
     if isinstance(expression, LabelTest):
         return Lab(expression.label, x)

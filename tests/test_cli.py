@@ -163,6 +163,34 @@ class TestLoaders:
         assert main([command, first, str(path)]) == 2
         assert "%s:3: not valid UTF-8" % path in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["check", "lint", "subschema", "profile", "explain"]
+    )
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("bad.tdx", "initial q0\n# c\nrule q0 recipes -> recipes(q0\ntext q0\n", 3),
+            ("bad.tdx", "initial q0\nrule q0 recipes -> q0 q0\n", 2),
+            ("bad.tdx", "initial q0\ntext q0\nrule q0 recipes -> )\n", 3),
+            ("bad.schema", "start recipes\nrecipes -> (a\n", 2),
+            ("bad.schema", "start recipes\n\nrecipes -> a .\na -> text\n", 3),
+            ("bad.schema", "start recipes\nrecipes -> a\n", 2),
+            ("bad.schema", "# s\nstart recipes x\nrecipes -> text\n", 2),
+        ],
+    )
+    def test_build_errors_point_at_line(self, files, tmp_path, capsys, command,
+                                        name, text, line):
+        # The line of the offending rule or content model (the 'start'
+        # line for a start label with no content model).
+        path = tmp_path / name
+        path.write_text(text)
+        if name.endswith(".tdx"):
+            argv = [command, str(path), files["schema"]]
+        else:
+            argv = [command, files["select"], str(path)]
+        assert main(argv) == 2
+        assert "%s:%d: " % (path, line) in capsys.readouterr().err
+
 
 class TestCommands:
     def test_validate_ok(self, files, capsys):

@@ -361,6 +361,17 @@ class TestBatchCli:
         assert main(["batch", str(convention_corpus)]) == 0
         assert "1 safe" in capsys.readouterr().out
 
+    def test_no_prefilter_lasts_for_the_run_only(self, convention_corpus, capsys):
+        from repro.lint.dataflow import prefilter_enabled
+
+        os.remove(str(convention_corpus / "copying.tdx"))
+        argv = ["batch", str(convention_corpus), "--no-cache", "--stats"]
+        assert main(argv) == 0
+        assert "dataflow.prefilter.skips" in capsys.readouterr().err
+        assert main(argv + ["--no-prefilter"]) == 0
+        assert "dataflow.prefilter.skips" not in capsys.readouterr().err
+        assert prefilter_enabled()
+
     def test_exit_2_on_malformed_corpus(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "missing")]) == 2
         bad = tmp_path / "bad"

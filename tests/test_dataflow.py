@@ -23,7 +23,6 @@ from repro.lint.dataflow import (
     pass_names,
     prefilter_disabled,
     run_passes,
-    set_prefilter,
 )
 from repro.schema.dtd import dtd_to_nta
 
@@ -179,20 +178,6 @@ class TestSoundness:
             off = render_json(run_lint(transducer, recipes_nta))
         on = render_json(run_lint(transducer, recipes_nta))
         assert on == off
-
-    def test_set_prefilter_round_trip(self, recipes_nta):
-        transducer = corpus_transducer("select")
-        try:
-            set_prefilter(False)
-            clear_cache()
-            with obs.recording() as recorder:
-                assert not is_copying(transducer, recipes_nta)
-            assert "dataflow.prefilter.skips" not in recorder.counters
-        finally:
-            set_prefilter(True)
-        with obs.recording() as recorder:
-            assert not is_copying(transducer, recipes_nta)
-        assert recorder.counters.get("dataflow.prefilter.skips", 0) >= 1
 
 
 class TestSummaryCache:

@@ -225,6 +225,38 @@ class TestRecordingNeverTracesMemory:
         assert recorder.gauges["typecheck.inverse_type_states"] >= 1
 
 
+class TestDecisionProceduresRecordAtTheirBoundary:
+    """The Theorem 4.11, §6, DTL and §7 procedures record spans, exact
+    counters and their decided events, but no histogram and no debug
+    event restating them."""
+
+    def test_no_histograms_and_no_debug_events(self):
+        from repro.core.dtl_analysis import is_text_preserving_dtl
+        from repro.core.safety import maximal_safe_subschema
+        from repro.core.topdown_analysis import counter_example, is_text_preserving
+        from repro.core.typecheck import typechecks
+        from repro.lint.dataflow import prefilter_disabled
+        from repro.mso.compile import clear_compile_cache
+        from repro.paper import example42_transducer
+        from tests.test_core_dtl_analysis import ab_schema, swap_dtl
+        from tests.test_core_safety import optional_b_schema, swap_transducer
+        from tests.test_core_typecheck import RECIPES, figure2_dtd
+
+        clear_compile_cache()
+        with prefilter_disabled(), obs.recording(log_level=obs.DEBUG) as recorder:
+            assert not is_text_preserving(swap_transducer(), optional_b_schema())
+            assert counter_example(swap_transducer(), optional_b_schema()) is not None
+            assert typechecks(example42_transducer(), RECIPES, figure2_dtd())
+            assert not is_text_preserving_dtl(swap_dtl(), ab_schema())
+            maximal_safe_subschema(swap_transducer(), optional_b_schema(), ["a"])
+        for name in ("ptime.copying", "typecheck.inverse_type", "dtl.rearranging",
+                     "mso.compile", "safety.subschema"):
+            assert recorder.find(name) is not None, name
+        assert recorder.histograms == {}
+        assert [event.message for event in recorder.events
+                if event.level == obs.DEBUG] == []
+
+
 class TestExporters:
     def _example_recorder(self):
         with obs.recording() as recorder:
@@ -244,17 +276,6 @@ class TestExporters:
         assert "counters:" in text
         assert "c.n" in text
         assert "gauges:" in text
-
-    def test_json_round_trip(self):
-        recorder = self._example_recorder()
-        payload = json.loads(obs.render_json(recorder))
-        rebuilt = obs.from_dict(payload)
-        assert [root.name for root in rebuilt.spans] == ["root"]
-        assert rebuilt.spans[0].children[0].name == "child"
-        assert rebuilt.spans[0].attrs == {"states": 4}
-        assert rebuilt.counters == recorder.counters
-        assert rebuilt.gauges == recorder.gauges
-        assert rebuilt.spans[0].duration_ns == recorder.spans[0].duration_ns
 
     def test_chrome_trace_round_trip(self):
         recorder = self._example_recorder()

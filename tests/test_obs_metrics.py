@@ -1,6 +1,6 @@
-"""Tests for the metrics registries (histograms, meters, sample
-series), Snapshot v4 transport, and the OpenMetrics/timeline
-exposition formats."""
+"""Tests for the metrics registries (histograms, sample series),
+Snapshot v4 transport, and the OpenMetrics/timeline exposition
+formats."""
 
 import json
 import multiprocessing
@@ -15,7 +15,6 @@ from repro.obs import Snapshot
 from repro.obs.metrics import (
     MAX_BUCKET,
     Histogram,
-    Meter,
     SampleSeries,
     bucket_index,
     bucket_upper_bound,
@@ -96,24 +95,6 @@ class TestHistogram:
 
 
 class TestMeterAndSamples:
-    def test_meter_rate_is_count_over_window(self):
-        meter = Meter()
-        meter.mark(10)
-        meter.elapsed_ns = int(2e9)
-        assert meter.rate() == pytest.approx(5.0)
-
-    def test_meter_merge_keeps_longest_window(self):
-        # Worker windows overlap the parent's wall clock; summing them
-        # would fabricate throughput, so merge keeps the longest.
-        a, b = Meter(), Meter()
-        a.mark(4)
-        a.elapsed_ns = int(1e9)
-        b.mark(6)
-        b.elapsed_ns = int(3e9)
-        a.merge(b)
-        assert a.count == 10
-        assert a.elapsed_ns == int(3e9)
-
     def test_sample_series_is_bounded(self):
         series = SampleSeries(maxlen=4)
         for i in range(10):
@@ -135,32 +116,19 @@ class TestRecorderIntegration:
         with obs.recording() as recorder:
             obs.observe("x.ms", 3.5)
             obs.observe("x.ms", 9.0)
-            obs.mark("jobs")
             obs.sample("depth", 4)
         assert recorder.histograms["x.ms"].count == 2
-        assert recorder.meters["jobs"].count == 1
         assert recorder.samples["depth"].last == 4
 
     def test_disabled_mode_is_a_noop(self):
         # No recorder: nothing is created, nothing raises.
         obs.observe("x.ms", 1.0)
-        obs.mark("jobs")
         obs.sample("depth", 1)
-        with obs.timed("x.ms"):
-            pass
-
-    def test_timed_observes_elapsed_milliseconds(self):
-        with obs.recording() as recorder:
-            with obs.timed("t.ms"):
-                pass
-        assert recorder.histograms["t.ms"].count == 1
-        assert recorder.histograms["t.ms"].maximum < 1000.0
 
 
 def _spawn_worker(index):
     with obs.recording() as recorder:
         obs.observe("worker.ms", float(index + 1))
-        obs.mark("worker.jobs")
         obs.sample("worker.depth", index)
     return Snapshot.from_recorder(recorder).to_dict()
 
@@ -169,13 +137,11 @@ class TestSnapshotV4:
     def test_to_dict_version_4_round_trip(self):
         with obs.recording() as recorder:
             obs.observe("h", 3)
-            obs.mark("m")
             obs.sample("s", 1)
         payload = Snapshot.from_recorder(recorder).to_dict()
         assert payload["version"] == 4
         clone = Snapshot.from_dict(json.loads(json.dumps(payload)))
         assert clone.histograms["h"].count == 1
-        assert clone.meters["m"].count == 1
         assert clone.samples["s"].last == 1
 
     def test_v3_payload_without_registries_still_loads(self):
@@ -183,7 +149,7 @@ class TestSnapshotV4:
             obs.add("n", 1)
         payload = Snapshot.from_recorder(recorder).to_dict()
         payload["version"] = 3
-        for key in ("histograms", "meters", "samples"):
+        for key in ("histograms", "samples"):
             payload.pop(key, None)
         clone = Snapshot.from_dict(payload)
         assert clone.counters["n"] == 1
@@ -202,11 +168,9 @@ class TestSnapshotV4:
     def test_without_replayable_state_keeps_registries_drops_samples(self):
         with obs.recording() as recorder:
             obs.observe("h", 1)
-            obs.mark("m")
             obs.sample("s", 1)
         stripped = Snapshot.from_recorder(recorder).without_replayable_state()
         assert stripped.histograms["h"].count == 1
-        assert stripped.meters["m"].count == 1
         assert stripped.samples == {}
 
     def test_spawn_pool_merge(self):
@@ -221,7 +185,6 @@ class TestSnapshotV4:
                 Snapshot.from_dict(payload).merge_into(recorder)
         assert recorder.histograms["worker.ms"].count == 4
         assert recorder.histograms["worker.ms"].maximum == 4.0
-        assert recorder.meters["worker.jobs"].count == 4
         assert recorder.samples["worker.depth"].count == 4
 
 
@@ -230,14 +193,10 @@ class TestOpenMetrics:
         histogram = Histogram()
         for value in (1, 5, 5, 300):
             histogram.observe(value)
-        meter = Meter()
-        meter.mark(3)
-        meter.elapsed_ns = int(1e9)
         return (
             {"ptime.product_states": 12.0},
             {"mem.peak_kb": 2048.0},
             {"corpus.job.ms": histogram},
-            {"corpus.jobs": meter},
         )
 
     def test_render_passes_own_validator(self):
@@ -248,7 +207,7 @@ class TestOpenMetrics:
         assert text.endswith("# EOF\n")
 
     def test_histogram_buckets_are_cumulative_with_inf(self):
-        text = render_openmetrics({}, {}, self._registries()[2], {})
+        text = render_openmetrics({}, {}, self._registries()[2])
         counts = [
             float(line.rsplit(" ", 1)[1])
             for line in text.splitlines()
@@ -258,13 +217,12 @@ class TestOpenMetrics:
         assert counts[-1] == 4.0  # +Inf equals _count
 
     def test_rendering_is_insertion_order_independent(self):
-        counters, gauges, histograms, meters = self._registries()
-        forward = render_openmetrics(counters, gauges, histograms, meters)
+        counters, gauges, histograms = self._registries()
+        forward = render_openmetrics(counters, gauges, histograms)
         shuffled = render_openmetrics(
             dict(reversed(list(counters.items()))),
             dict(reversed(list(gauges.items()))),
             histograms,
-            meters,
         )
         assert forward == shuffled
 
@@ -275,7 +233,7 @@ class TestOpenMetrics:
             "for v in (1, 9, 70): h.observe(v)\n"
             "import sys\n"
             "sys.stdout.write(render_openmetrics("
-            "{'b.n': 1.0, 'a.n': 2.0}, {'g': 3.0}, {'h.ms': h}, {}))\n"
+            "{'b.n': 1.0, 'a.n': 2.0}, {'g': 3.0}, {'h.ms': h}))\n"
         )
         outputs = []
         for seed in ("0", "12345"):

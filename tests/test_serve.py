@@ -349,7 +349,7 @@ class TestLifetimeRecorder:
                 full.add(name, value)
         full.histograms["serve.request.ms"] = lifetime.histograms["serve.request.ms"]
         assert dispatcher.render_metrics() == obs.render_openmetrics(
-            full.counters, full.gauges, full.histograms, full.meters
+            full.counters, full.gauges, full.histograms
         )
 
 
