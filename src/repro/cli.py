@@ -128,19 +128,18 @@ event log (``--log-level`` sets the buffering threshold) — each line's
 ``span_id`` joins against the trace file's ``args.id``, including
 events emitted inside ``batch`` worker processes; ``--metrics FILE``
 writes the run's counters, gauges and latency histograms as
-Prometheus/OpenMetrics text exposition (any sampled time
-series additionally lands as ``FILE.timeline.jsonl``).  ``report``
+Prometheus/OpenMetrics text exposition.  ``report``
 bundles a trace, a log, and a corpus JSONL report into one
 dependency-free HTML file for CI artifacts.
 
 ``top`` is the live monitoring surface over a running ``batch``: the
 engine rewrites a small status JSON (``CORPUS_DIR/.repro-status.json``
-by default) every heartbeat tick, and ``top`` polls it to render
-per-worker in-flight state (job, elapsed, current span path, RSS),
-queue depth, cache hits, verdict counts, and the p50/p99 job latency.
-``batch --stall-after S`` arms the stall watchdog: a job silent past
-``S`` seconds gets a ``faulthandler`` stack dump captured inside the
-worker and folded into the ``--log`` JSONL as a structured WARNING.
+by default) every heartbeat tick, and ``top`` polls it to render the
+in-flight jobs (job, elapsed, stalled), queue depth, cache hits,
+verdict counts, and the p50/p99 job latency.  ``batch --stall-after
+S`` arms the stall watchdog: a job still running after ``S`` seconds
+gets a ``faulthandler`` stack dump written inside the worker and
+folded into the ``--log`` JSONL as a structured WARNING.
 
 ``explain`` answers *where the states go*: it runs the full pair
 analysis and folds the labeled counter registry (per-rule product
@@ -495,20 +494,11 @@ def _event_level(args: argparse.Namespace) -> Optional[int]:
 
 
 def _write_metrics(recorder: obs.Recorder, path: str) -> None:
-    """Write the run's registries as OpenMetrics text exposition; any
-    sampled time series additionally lands next to it as a
-    self-identifying JSONL timeline (``FILE.timeline.jsonl``)."""
+    """Write the run's registries as OpenMetrics text exposition."""
     text = obs.render_openmetrics(recorder.counters, recorder.gauges, recorder.histograms)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     print("wrote OpenMetrics exposition to %s" % path, file=sys.stderr)
-    if recorder.samples:
-        timeline = path + ".timeline.jsonl"
-        count = obs.write_timeline_jsonl(recorder.samples, timeline)
-        print(
-            "wrote %d timeline samples to %s" % (count, timeline),
-            file=sys.stderr,
-        )
 
 
 def _finish_observation(recorder: Optional[obs.Recorder], args: argparse.Namespace) -> None:
@@ -775,27 +765,36 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise CliError(
             "--stall-after must be positive, got %g" % args.stall_after
         )
-    status_file = args.status_file
-    if status_file is None:
-        from .corpus.telemetry import STATUS_BASENAME
+    from .corpus.telemetry import STATUS_BASENAME, StatusFile
 
-        status_file = os.path.join(args.corpus_dir, STATUS_BASENAME)
-
-    # Live TTY progress on stderr; by default automatically silent when
-    # stderr or stdout is piped, so `batch --format json > out.jsonl`
-    # stays clean — --progress/--no-progress force it either way.
+    # The run's records fan out to three sinks: live TTY progress on
+    # stderr (by default automatically silent when stderr or stdout is
+    # piped, so `batch --format json > out.jsonl` stays clean —
+    # --progress/--no-progress force it either way), the status file
+    # `top` polls, and with --journal the crash-safe journal.
     reporter = corpus.ProgressReporter(live=args.progress)
+    sinks: List[corpus.EventSink] = [reporter, StatusFile(
+        args.status_file or os.path.join(args.corpus_dir, STATUS_BASENAME)
+    )]
     journal = None
     if args.journal:
         from .obs import flight
         from .obs.journal import Journal
 
         journal = Journal(args.journal)
+        sinks.append(corpus.journal_sink(journal))
         # Crash postmortems land next to the journal segments.
         flight.install(args.journal)
         flight.note("batch.starting", corpus_dir=args.corpus_dir,
                     jobs=len(jobs))
+
+    def on_event(type: str, data: Dict[str, Any]) -> None:
+        for sink in sinks:
+            sink(type, data)
+
     with contextlib.ExitStack() as stack:
+        # An interrupted run leaves no half-drawn progress line.
+        stack.callback(reporter.clear)
         if args.no_prefilter:
             # The pool workers start inside the block and inherit it.
             stack.enter_context(prefilter_disabled())
@@ -813,10 +812,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             max_workers=args.jobs,
             timeout=args.timeout,
             cache=cache,
-            progress=reporter,
+            on_event=on_event,
             stall_after=args.stall_after,
-            status_file=status_file,
-            journal=journal,
         )
     if journal is not None:
         # The full run capture (spans now closed), journaled last so
@@ -992,8 +989,8 @@ def _write_or_print(rendered: str, output: Optional[str]) -> None:
 
 def _reject_observability_artifact(path: str, expected: str) -> None:
     """Exit 2 with a named-format error when ``path`` is actually one
-    of the observability layer's own JSON/JSONL artifacts (a metrics
-    timeline, a batch status file, a log/trace export) passed where a
+    of the observability layer's own JSON/JSONL artifacts (a journal
+    segment, a batch status file, a log/trace export) passed where a
     ``expected`` input belongs."""
     try:
         with open(path, encoding="utf-8") as handle:
@@ -1162,23 +1159,16 @@ def _render_top_frame(status: Dict[str, Any]) -> str:
     workers = status.get("workers") or []
     lines.append("")
     if workers:
-        lines.append("in-flight workers (slowest first):")
+        lines.append("in-flight jobs (slowest first):")
         for worker in workers:
-            rss = worker.get("rss_kb")
             lines.append(
-                "  pid %-7s %6.1fs  %s%s%s"
-                % (
-                    worker.get("pid", "?"),
-                    float(worker.get("elapsed", 0.0)),
-                    worker.get("job_id", "?"),
-                    "  [%s]" % worker["span_path"] if worker.get("span_path") else "",
-                    "  rss %d MiB" % (rss // 1024) if rss else "",
-                )
+                "  %6.1fs  %s"
+                % (float(worker.get("elapsed", 0.0)), worker.get("job_id", "?"))
             )
             if worker.get("stalled"):
                 lines.append("      ^ STALLED — stack dump in the --log JSONL")
     else:
-        lines.append("no in-flight worker telemetry")
+        lines.append("no jobs in flight")
     return "\n".join(lines) + "\n"
 
 
@@ -1200,8 +1190,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             except FileNotFoundError:
                 if args.once:
                     raise CliError(
-                        "no status file at %s — is a batch running with "
-                        "telemetry enabled?" % path
+                        "no status file at %s — is a batch running?" % path
                     )
                 if not waited:
                     print("waiting for %s ..." % path, file=sys.stderr)
@@ -1521,8 +1510,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--stall-after", type=float, default=None, metavar="S",
-        help="stall watchdog: a job silent past S seconds gets a "
-        "faulthandler stack dump folded into the --log JSONL as a "
+        help="stall watchdog: a job still running after S seconds gets "
+        "a faulthandler stack dump folded into the --log JSONL as a "
         "structured WARNING (default: off)",
     )
     batch.add_argument(
@@ -1828,8 +1817,7 @@ def _add_log_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--metrics", metavar="FILE",
         help="write the run's counters/gauges/histograms as "
-        "Prometheus/OpenMetrics text exposition; sampled time series "
-        "additionally land as FILE.timeline.jsonl",
+        "Prometheus/OpenMetrics text exposition",
     )
 
 

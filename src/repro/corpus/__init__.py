@@ -12,7 +12,10 @@ package is that engine:
 * :mod:`repro.corpus.runner` — ``ProcessPoolExecutor`` execution with
   in-worker per-job timeouts and failure isolation (one crashing or
   hanging pair is reported, never kills the run), per-job
-  :class:`repro.obs.Snapshot` counters shipped back to the parent;
+  :class:`repro.obs.Snapshot` counters shipped back to the parent, and
+  one record sink (``on_event``) for progress, status and journaling;
+* :mod:`repro.corpus.telemetry` — the status-file sink ``repro top``
+  polls;
 * :mod:`repro.corpus.cache` — a content-addressed result store
   (``.repro-cache/``, SHA-256 of canonicalized inputs + protect set +
   engine version) so re-runs only recompute changed pairs;
@@ -67,21 +70,22 @@ from .report import (
 )
 from .runner import (
     VERDICT_RANK,
+    EventSink,
     JobResult,
-    ProgressListener,
     ProgressReporter,
     RunSummary,
     WorkerPool,
     analyze_pair,
     job_fails,
+    journal_sink,
     run_corpus,
 )
 
 __all__ = [
     "CorpusError",
     "JobSpec",
+    "EventSink",
     "JobResult",
-    "ProgressListener",
     "ProgressReporter",
     "RunSummary",
     "WorkerPool",
@@ -100,6 +104,7 @@ __all__ = [
     "filter_shard",
     "analyze_pair",
     "run_corpus",
+    "journal_sink",
     "job_fails",
     "job_cache_key",
     "job_object",

@@ -26,11 +26,14 @@ fresh :mod:`repro.obs` recorder and folds everything into one
   parent's ``--log`` JSONL / ``--trace`` file cover work done inside
   the workers.
 
-Progress goes through a :class:`ProgressListener`: the engine reports
-run begin, every job completion, and a once-a-second heartbeat naming
-the slowest in-flight job; :class:`ProgressReporter` is the TTY
-implementation (single live line on stderr, auto-disabled when the
-output is piped so machine-read streams stay clean).
+Progress goes out through one sink, ``on_event(type, data)``, as the
+journal's own records: ``run`` at begin and finish, one ``job`` per
+settled non-cached job, and an unjournaled ``progress`` tick each
+heartbeat listing the in-flight jobs the parent sees in its own
+futures.  The TTY line (:class:`ProgressReporter`), the batch status
+file (:class:`repro.corpus.telemetry.StatusFile`), ``batch --journal``
+(:func:`journal_sink`) and the serve stream are plain callables over
+those records.
 
 Timeout results are never cached (they are transient); parse errors
 are (they are deterministic consequences of the file's content).
@@ -41,29 +44,31 @@ a cache hit must never replay a stale log.
 from __future__ import annotations
 
 import concurrent.futures
+import faulthandler
 import os
 import shutil
 import signal
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .. import obs
 from ..lint import severity_order
-from . import telemetry
 from .cache import ENGINE_VERSION, ResultCache, job_cache_key
 from .manifest import JobSpec
 
 __all__ = [
+    "EventSink",
     "JobResult",
     "RunSummary",
-    "ProgressListener",
     "ProgressReporter",
     "WorkerPool",
     "VERDICT_RANK",
     "analyze_pair",
     "run_corpus",
+    "journal_sink",
     "job_fails",
 ]
 
@@ -87,95 +92,35 @@ class _JobTimeout(BaseException):
     the deadline."""
 
 
-class ProgressListener:
-    """The engine's progress interface; every method is a no-op so
-    implementations override only what they render.
+#: A run's record sink: ``on_event(type, data)`` (see :func:`run_corpus`).
+EventSink = Callable[[str, Dict[str, Any]], None]
 
-    ``in_flight`` in :meth:`heartbeat` is ``(job_id, elapsed_seconds)``
-    pairs for jobs currently observed running in a worker, slowest
-    first — the heartbeat fires even when nothing completes, so a hung
-    or near-timeout job is visible while it hangs, not after.
-    """
-
-    def begin(self, total: int, cache_hits: int, to_run: int) -> None:
-        pass
-
-    def job_done(self, result: "JobResult", done: int, to_run: int) -> None:
-        pass
-
-    def heartbeat(
-        self, done: int, to_run: int,
-        in_flight: List[Tuple[str, float]],
-    ) -> None:
-        pass
-
-    def worker_update(self, workers: List[Any]) -> None:
-        """Live sideband telemetry: one
-        :class:`repro.corpus.telemetry.WorkerState` per in-flight job,
-        slowest first.  Only fires when the run has the telemetry
-        channel enabled (a stall threshold or status file)."""
-        pass
-
-    def message(self, text: str) -> None:
-        pass
-
-    def finish(self) -> None:
-        pass
+#: Seconds between ``progress`` records while workers are busy.
+HEARTBEAT_S = 1.0
 
 
-class _JournalTee(ProgressListener):
-    """Tees engine progress into a :class:`repro.obs.Journal` before
-    delegating to the real listener: one ``run`` record at begin, one
-    ``job`` record per completed job (the canonical job object with
-    the bulky observations stripped — the full Snapshot is journaled
-    once at the end of the run instead)."""
+def journal_sink(journal: Any) -> EventSink:
+    """The sink behind ``batch --journal``: appends every record but
+    the ``progress`` ticks to a :class:`repro.obs.Journal`."""
 
-    def __init__(self, inner: ProgressListener, journal: Any) -> None:
-        self._inner = inner
-        self._journal = journal
-
-    def _append(self, type: str, data: Dict[str, Any]) -> None:
+    def append(type: str, data: Dict[str, Any]) -> None:
+        if type == "progress":
+            return
         try:
-            self._journal.append(type, data)
+            journal.append(type, data)
         except (OSError, ValueError):
             pass  # a full disk must not fail the run
 
-    def begin(self, total: int, cache_hits: int, to_run: int) -> None:
-        self._append("run", {
-            "phase": "begin", "total": total,
-            "cache_hits": cache_hits, "to_run": to_run,
-        })
-        self._inner.begin(total, cache_hits, to_run)
-
-    def job_done(self, result: "JobResult", done: int, to_run: int) -> None:
-        job = result.to_dict()
-        job["observations"] = {}
-        self._append("job", {"job": job, "verdict": result.verdict,
-                             "done": done})
-        self._inner.job_done(result, done, to_run)
-
-    def heartbeat(
-        self, done: int, to_run: int,
-        in_flight: List[Tuple[str, float]],
-    ) -> None:
-        self._inner.heartbeat(done, to_run, in_flight)
-
-    def worker_update(self, workers: List[Any]) -> None:
-        self._inner.worker_update(workers)
-
-    def message(self, text: str) -> None:
-        self._inner.message(text)
-
-    def finish(self) -> None:
-        self._inner.finish()
+    return append
 
 
-class ProgressReporter(ProgressListener):
-    """TTY progress: one live status line on ``stream`` (stderr),
-    rewritten in place; non-``safe`` completions print as full lines
-    above it.  When ``live`` is false — the stream or stdout is piped —
-    the reporter is silent, so ``batch --format json > out.jsonl``
-    produces nothing but the report on stdout.
+class ProgressReporter:
+    """TTY progress over a run's records: one live status line on
+    ``stream`` (stderr), rewritten in place; non-``safe`` jobs and
+    stalls print as full lines above it.  When ``live`` is false — the
+    stream or stdout is piped — the reporter is silent, so ``batch
+    --format json > out.jsonl`` produces nothing but the report on
+    stdout.
     """
 
     def __init__(self, stream: Optional[TextIO] = None,
@@ -190,46 +135,45 @@ class ProgressReporter(ProgressListener):
                 and getattr(sys.stdout, "isatty", lambda: False)()
             )
         self.live = live
-        self._total = 0
         self._hits = 0
         self._to_run = 0
         self._done = 0
         self._bad: Dict[str, int] = {}
+        self._stalled: set = set()
         self._line_open = False
 
-    # -- listener interface ------------------------------------------------
-
-    def begin(self, total: int, cache_hits: int, to_run: int) -> None:
-        self._total, self._hits, self._to_run = total, cache_hits, to_run
-        self._render("starting")
-
-    def job_done(self, result: "JobResult", done: int, to_run: int) -> None:
-        self._done = done
-        if result.verdict != "safe":
-            self._bad[result.verdict] = self._bad.get(result.verdict, 0) + 1
-            self._print_line(
-                "%-7s %s  (%.3fs)"
-                % (result.verdict, result.job_id, result.wall_time_s)
-            )
-        self._render("")
-
-    def heartbeat(
-        self, done: int, to_run: int,
-        in_flight: List[Tuple[str, float]],
-    ) -> None:
-        self._done = done
-        tail = ""
-        if in_flight:
-            job_id, elapsed = in_flight[0]
-            tail = "running %s (%.1fs)" % (job_id, elapsed)
-        self._render(tail)
-
-    def message(self, text: str) -> None:
-        self._print_line(text)
-        self._render("")
-
-    def finish(self) -> None:
-        self._clear()
+    def __call__(self, type: str, data: Dict[str, Any]) -> None:
+        if type == "run":
+            if data["phase"] == "begin":
+                self._hits, self._to_run = data["cache_hits"], data["to_run"]
+                self._render("starting")
+            else:
+                self.clear()
+        elif type == "job":
+            self._done = data["done"]
+            verdict, job = data["verdict"], data["job"]
+            if verdict != "safe":
+                self._bad[verdict] = self._bad.get(verdict, 0) + 1
+                self._print_line(
+                    "%-7s %s  (%.3fs)" % (verdict, job["job_id"], job["wall_time_s"])
+                )
+            self._render("")
+        elif type == "progress":
+            self._done = data["done"]
+            in_flight = data["in_flight"]
+            for row in in_flight:
+                if row["stalled"] and row["job_id"] not in self._stalled:
+                    self._stalled.add(row["job_id"])
+                    self._print_line(
+                        "stall: %s silent %.1fs — stack dumped to log"
+                        % (row["job_id"], row["elapsed"])
+                    )
+            tail = ""
+            if in_flight:
+                tail = "running %s (%.1fs)" % (
+                    in_flight[0]["job_id"], in_flight[0]["elapsed"]
+                )
+            self._render(tail)
 
     # -- rendering ---------------------------------------------------------
 
@@ -256,11 +200,14 @@ class ProgressReporter(ProgressListener):
     def _print_line(self, text: str) -> None:
         if not self.live:
             return
-        self._clear()
+        self.clear()
         self.stream.write(text + "\n")
         self.stream.flush()
 
-    def _clear(self) -> None:
+    def clear(self) -> None:
+        """Erase the live line: on the run's ``finish`` record, and from
+        the CLI on the way out, so an interrupted run leaves no
+        half-drawn line."""
         if self.live and self._line_open:
             self.stream.write("\r\x1b[2K")
             self.stream.flush()
@@ -293,12 +240,8 @@ class WorkerPool:
     ``run_corpus(..., pool=...)`` call; the pool's worker processes
     stay hot (imports done, code objects warm) across requests, and
     :meth:`spawned_total` lets callers assert that an all-cache-hits
-    request started **zero** new workers.
-
-    Not used together with the corpus telemetry sideband: the sampler
-    initializer must be installed at pool-creation time, so a shared
-    pool runs without in-worker samplers (the serve dispatcher has its
-    own per-request status rows instead).
+    request started **zero** new workers.  The stall watchdog arms per
+    job (see :func:`run_corpus`), so it works on a shared pool too.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -466,16 +409,12 @@ def analyze_pair(
     transducer_name: Optional[str] = None,
     schema_name: Optional[str] = None,
     log_level: Optional[int] = None,
-    on_recording: Optional[Callable[[Any], None]] = None,
 ) -> JobResult:
     """Run the full single-pair analysis, catching per-pair failures
     into an ``error`` result (timeouts — :class:`_JobTimeout` — always
     propagate to the worker loop).  ``log_level`` turns on structured
     event buffering under the job's recorder; the events ship back in
-    ``result.observations``.  ``on_recording`` receives the job's
-    recorder right after installation — the telemetry sampler thread
-    cannot reach it through the (thread-local) ContextVar, so the
-    worker hands it over explicitly."""
+    ``result.observations``."""
     from ..cli import CliError
 
     spec = JobSpec(
@@ -493,8 +432,6 @@ def analyze_pair(
     )
     start = time.perf_counter()
     with obs.recording(log_level=log_level) as recorder:
-        if on_recording is not None:
-            on_recording(recorder)
         with obs.span("corpus.job") as job_span:
             job_span.set("job_id", result.job_id)
             obs.info(
@@ -580,7 +517,9 @@ def _worker(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Enforces the per-job timeout via ``setitimer`` where available
     (Unix); a fired deadline yields a ``timeout`` result and leaves the
-    worker process healthy for the next job.
+    worker process healthy for the next job.  With a ``stall_dump``
+    path in the payload, ``faulthandler`` writes every thread's stack
+    there if the job is still running after ``stall_after`` seconds.
     """
     timeout = payload.get("timeout")
     use_timer = bool(timeout) and hasattr(signal, "setitimer")
@@ -593,10 +532,15 @@ def _worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         previous = signal.signal(signal.SIGALRM, on_alarm)
         signal.setitimer(signal.ITIMER_REAL, float(timeout))
     start = time.perf_counter()
-    # The telemetry slot opens before the fault-injection sleep so a
-    # deliberately hung job is visible to the sampler while it hangs.
-    telemetry.job_started(payload.get("job_id") or payload["transducer_path"])
+    stall_dump = None
     try:
+        # Armed before the fault-injection sleep, so a deliberately
+        # hung job is dumped while it hangs.
+        if payload.get("stall_dump"):
+            stall_dump = open(payload["stall_dump"], "w", encoding="utf-8")
+            faulthandler.dump_traceback_later(
+                payload["stall_after"], file=stall_dump
+            )
         _maybe_inject_delay(payload["transducer_path"])
         result = analyze_pair(
             payload["transducer_path"],
@@ -606,7 +550,6 @@ def _worker(payload: Dict[str, Any]) -> Dict[str, Any]:
             transducer_name=payload.get("transducer_name"),
             schema_name=payload.get("schema_name"),
             log_level=payload.get("log_level"),
-            on_recording=telemetry.attach_recorder,
         )
     except _JobTimeout:
         result = JobResult(
@@ -619,7 +562,9 @@ def _worker(payload: Dict[str, Any]) -> Dict[str, Any]:
             wall_time_s=time.perf_counter() - start,
         )
     finally:
-        telemetry.job_finished()
+        if stall_dump is not None:
+            faulthandler.cancel_dump_traceback_later()
+            stall_dump.close()
         if use_timer:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
@@ -753,49 +698,24 @@ def _inline_if_proven_safe(
     )
 
 
-class _StatusWriter:
-    """Writes the live status file (see :mod:`repro.corpus.telemetry`)
-    each heartbeat tick — the surface ``python -m repro top`` polls."""
+class _Settle:
+    """Collects a run's results; every non-cached one is also sent to
+    the sink as a ``job`` record whose ``done`` counts 1..n."""
 
-    def __init__(self, path: str, total: int, cache_hits: int, to_run: int) -> None:
-        self.path = path
-        self.total = total
-        self.cache_hits = cache_hits
-        self.to_run = to_run
+    def __init__(self, results: List[JobResult], on_event: Optional[EventSink]) -> None:
+        self.results = results
+        self.on_event = on_event
+        self.done = 0
 
-    def tick(
-        self,
-        results: Sequence["JobResult"],
-        done: int,
-        workers: Sequence[Any] = (),
-        queue_depth: int = 0,
-        finished: bool = False,
-    ) -> None:
-        histogram = obs.Histogram()
-        for result in results:
-            if not result.cache_hit:
-                histogram.observe(result.wall_time_s * 1000.0)
-        payload: Dict[str, Any] = {
-            "ts": time.time(),
-            "pid": os.getpid(),
-            "total": self.total,
-            "cache_hits": self.cache_hits,
-            "to_run": self.to_run,
-            "done": done,
-            "queue_depth": max(0, queue_depth),
-            "verdicts": {k: v for k, v in sorted(_count_verdicts(results).items())},
-            "workers": [
-                state.to_dict() if hasattr(state, "to_dict") else dict(state)
-                for state in workers
-            ],
-            "job_ms": histogram.summary() if histogram.count else None,
-            "finished": finished,
-        }
-        try:
-            telemetry.write_status_file(self.path, payload)
-        except OSError:
-            # A vanished directory or full disk must not fail the run.
-            pass
+    def __call__(self, result: JobResult) -> None:
+        self.results.append(result)
+        self.done += 1
+        if self.on_event is not None:
+            job = result.to_dict()
+            job["observations"] = {}
+            self.on_event(
+                "job", {"job": job, "verdict": result.verdict, "done": self.done}
+            )
 
 
 def run_corpus(
@@ -804,77 +724,68 @@ def run_corpus(
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
     cache: Optional[ResultCache] = None,
-    engine_version: str = ENGINE_VERSION,
-    progress: Optional[ProgressListener] = None,
-    heartbeat: float = 1.0,
+    on_event: Optional[EventSink] = None,
     stall_after: Optional[float] = None,
-    status_file: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
     cancel: Optional[Callable[[], bool]] = None,
-    journal: Optional[Any] = None,
 ) -> RunSummary:
     """Execute all jobs — cached results resolve in the parent, the
     rest fan out over worker processes — and return the sorted summary
     (worst verdicts first).
 
-    ``progress`` is the :class:`ProgressListener` told about the run
-    (none by default).  ``heartbeat`` is the listener's tick period in
-    seconds while workers are busy.
+    ``on_event(type, data)`` receives the run's records, in order:
 
-    ``stall_after`` and ``status_file`` enable the live telemetry
-    sideband (see :mod:`repro.corpus.telemetry`): workers stream
-    periodic in-flight state over a queue, a job silent past
-    ``stall_after`` seconds gets a faulthandler stack dump folded into
-    a structured WARNING event, and ``status_file`` is atomically
-    rewritten each tick for ``python -m repro top``.  Both default off,
-    in which case no telemetry machinery is started at all.
+    * ``run`` with ``phase`` ``begin``: ``total``, ``cache_hits``,
+      ``to_run`` and ``cached_verdicts`` (the verdict counts of the
+      cache hits);
+    * one ``job`` per settled non-cached job — computed, cancelled or
+      abandoned: the canonical job object without ``observations``,
+      its ``verdict``, and ``done`` counting 1..``to_run``;
+    * ``progress`` on every wake-up of the wait loop (at least each
+      :data:`HEARTBEAT_S`) while workers are busy, never journaled:
+      ``done``, ``to_run``, ``queue_depth`` and ``in_flight`` rows
+      ``{job_id, elapsed, stalled}``, slowest first;
+    * ``run`` with ``phase`` ``finish`` and the run ``summary``.
+
+    ``stall_after`` arms the stall watchdog: a job still running that
+    many seconds after it started has its worker's ``faulthandler``
+    stack dump written to a per-job file, which the parent turns into
+    one ``corpus.stall`` WARNING (with ``--log``, the hung job's stack
+    joined to a span id).
 
     ``pool`` is a shared :class:`WorkerPool` to run on instead of a
     private per-call executor; the pool is left running afterwards (the
-    serve dispatcher's warm-pool path).  A shared pool has no in-worker
-    telemetry sampler, so ``stall_after`` is ignored with it.
+    serve dispatcher's warm-pool path).
 
     ``cancel`` is polled between waves: once it returns true, every
     not-yet-started job is withdrawn as a ``cancelled`` result (never
     cached) and the engine returns as soon as the already-running jobs
     finish.
-
-    ``journal`` is an optional :class:`repro.obs.Journal`: the run's
-    begin, every completed job's verdict, and the final summary are
-    appended as they happen (the crash-safe record ``batch --journal``
-    and the serve dispatcher build on).
     """
-    listener = progress if progress is not None else ProgressListener()
-    if journal is not None:
-        listener = _JournalTee(listener, journal)
     start = time.perf_counter()
     results: List[JobResult] = []
     pending: List[Tuple[JobSpec, Optional[str]]] = []
-    hits = 0
     for spec in jobs:
-        key = job_cache_key(spec, engine_version) if cache is not None else None
+        key = job_cache_key(spec) if cache is not None else None
         if key is not None and cache is not None:
             payload = cache.get(key)
             if payload is not None:
                 cached = JobResult.from_dict(payload)
                 cached.cache_hit = True
                 results.append(cached)
-                hits += 1
                 continue
         pending.append((spec, key))
-    misses = len(pending)
-    listener.begin(len(jobs), hits, misses)
+    hits, misses = len(results), len(pending)
+    if on_event is not None:
+        on_event("run", {
+            "phase": "begin", "total": len(jobs), "cache_hits": hits,
+            "to_run": misses, "cached_verdicts": _count_verdicts(results),
+        })
     obs.info(
         "corpus.runner", "corpus run started",
         jobs=len(jobs), cache_hits=hits, to_run=misses,
     )
-    status = (
-        _StatusWriter(status_file, len(jobs), hits, misses)
-        if status_file is not None
-        else None
-    )
-    if status is not None:
-        status.tick(results, done=0)
+    settle = _Settle(results, on_event)
 
     log_level = None
     parent_recorder = obs.current()
@@ -886,7 +797,6 @@ def run_corpus(
     # of being shipped to a worker.  Skipped entirely under a per-job
     # timeout — only the in-worker setitimer can enforce one.
     pooled: List[Tuple[JobSpec, Optional[str]]] = []
-    prefiltered = 0
     if timeout is None:
         for spec, key in pending:
             if cancel is not None and cancel():
@@ -897,37 +807,27 @@ def run_corpus(
                 pooled.append((spec, key))
                 continue
             _store_in_cache(cache, key, result)
-            results.append(result)
-            prefiltered += 1
-            listener.job_done(result, prefiltered, misses)
+            settle(result)
     else:
         pooled = list(pending)
+    prefiltered = settle.done
 
     workers = 1
-    try:
-        if pooled and cancel is not None and cancel():
-            # Withdrawn before anything was submitted: every pending
-            # job becomes a (never-cached) cancelled result.
-            for spec, _key in pooled:
-                results.append(
-                    _failure_result(spec, "cancelled", "cancelled by request")
-                )
-            pooled = []
-        if pooled:
-            workers = pool.max_workers if pool is not None else (
-                max_workers or min(os.cpu_count() or 1, 8)
-            )
-            workers = max(1, min(workers, len(pooled))) if pool is None else workers
-            results.extend(
-                _execute_pending(
-                    pooled, workers, timeout, cache, listener, heartbeat,
-                    done_offset=prefiltered, total=misses,
-                    stall_after=stall_after, status=status,
-                    pool=pool, cancel=cancel,
-                )
-            )
-    finally:
-        listener.finish()
+    if pooled and cancel is not None and cancel():
+        # Withdrawn before anything was submitted: every pending job
+        # becomes a (never-cached) cancelled result.
+        for spec, _key in pooled:
+            settle(_failure_result(spec, "cancelled", "cancelled by request"))
+        pooled = []
+    if pooled:
+        workers = pool.max_workers if pool is not None else (
+            max_workers or min(os.cpu_count() or 1, 8)
+        )
+        workers = max(1, min(workers, len(pooled))) if pool is None else workers
+        _execute_pending(
+            pooled, workers, timeout, cache, settle, misses,
+            stall_after=stall_after, pool=pool, cancel=cancel,
+        )
 
     recorder = obs.current()
     if recorder is not None:
@@ -966,7 +866,6 @@ def run_corpus(
         wall_time_s=time.perf_counter() - start,
         analysis_time_s=sum(r.wall_time_s for r in results if not r.cache_hit),
         workers=workers,
-        engine=engine_version,
     )
     obs.info(
         "corpus.runner", "corpus run finished",
@@ -976,25 +875,20 @@ def run_corpus(
             for verdict, count in summary.verdict_counts().items() if count
         },
     )
-    if status is not None:
-        status.tick(results, done=len(results), finished=True)
-    if journal is not None:
-        try:
-            journal.append("run", {
-                "phase": "finish",
-                # the summary shape the HTML report's corpus section
-                # and journal replay consume
-                "summary": {
-                    "jobs": len(results),
-                    "verdicts": summary.verdict_counts(),
-                    "cache": {"hits": hits, "misses": misses,
-                              "hit_rate": round(summary.hit_rate(), 4)},
-                    "wall_time_s": round(summary.wall_time_s, 6),
-                    "workers": workers,
-                },
-            })
-        except (OSError, ValueError):
-            pass
+    if on_event is not None:
+        on_event("run", {
+            "phase": "finish",
+            # the summary shape the HTML report's corpus section and
+            # journal replay consume
+            "summary": {
+                "jobs": len(results),
+                "verdicts": summary.verdict_counts(),
+                "cache": {"hits": hits, "misses": misses,
+                          "hit_rate": round(summary.hit_rate(), 4)},
+                "wall_time_s": round(summary.wall_time_s, 6),
+                "workers": workers,
+            },
+        })
     return summary
 
 
@@ -1005,35 +899,39 @@ def _count_verdicts(results: Sequence[JobResult]) -> Dict[str, int]:
     return counts
 
 
+def _read_stall_dump(path: str) -> str:
+    """A job's stall dump so far (empty while the watchdog is quiet)."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            return handle.read()
+    except OSError:
+        return ""
+
+
 def _execute_pending(
     pending: Sequence[Tuple[JobSpec, Optional[str]]],
     workers: int,
     timeout: Optional[float],
     cache: Optional[ResultCache],
-    listener: ProgressListener,
-    heartbeat: float,
-    done_offset: int = 0,
-    total: Optional[int] = None,
+    settle: _Settle,
+    to_run: int,
     stall_after: Optional[float] = None,
-    status: Optional[_StatusWriter] = None,
     pool: Optional[WorkerPool] = None,
     cancel: Optional[Callable[[], bool]] = None,
-) -> List[JobResult]:
-    """Fan the cache misses out over a process pool; every failure mode
-    (worker exception, dead worker, engine-level hang) degrades to a
-    structured per-job result.
+) -> None:
+    """Fan the cache misses out over a process pool and settle each;
+    every failure mode (worker exception, dead worker, engine-level
+    hang) degrades to a structured per-job result.
 
-    The wait loop wakes at least every ``heartbeat`` seconds so the
-    listener can render live progress — done counts plus the slowest
-    job currently observed running — even while nothing completes.
-    With telemetry enabled (``stall_after``/``status``) the same loop
-    also drains the worker sideband queue into live per-job state.
+    The wait loop wakes at least every :data:`HEARTBEAT_S` seconds, so
+    the ``progress`` record — done counts plus the jobs the futures
+    show running — and the stall-dump check happen even while nothing
+    completes.
     """
     log_level = None
     recorder = obs.current()
     if recorder is not None:
         log_level = recorder.log_level
-    results: List[JobResult] = []
     # The in-worker setitimer is the real per-job deadline; this outer
     # bound only catches a worker dying so hard it never reports (e.g.
     # the OOM killer), so it is deliberately loose.
@@ -1041,53 +939,50 @@ def _execute_pending(
     if timeout is not None:
         waves = (len(pending) + workers - 1) // workers
         deadline = time.monotonic() + timeout * waves + 30.0
-    channel = None
-    hub: Optional[telemetry.TelemetryHub] = None
-    manager = None
-    # The in-worker sampler initializer must be installed at pool
-    # creation, so a shared (already-created) pool runs without it.
-    if pool is None and (stall_after is not None or status is not None):
-        import multiprocessing
-
-        # A Manager queue proxy (unlike a raw mp.Queue) pickles through
-        # the pool's initargs under both fork and spawn start methods.
-        manager = multiprocessing.Manager()
-        channel = manager.Queue()
-        hub = telemetry.TelemetryHub(
-            on_stall=lambda message: listener.message(
-                "stall: %s silent %.1fs (pid %s) — stack dumped to log"
-                % (message.get("job_id"), message.get("elapsed", 0.0),
-                   message.get("pid"))
-            )
-        )
+    dump_dir = (
+        tempfile.mkdtemp(prefix="repro-stall-") if stall_after is not None else None
+    )
     if pool is not None:
         executor = pool.executor
-    elif channel is not None:
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=telemetry.init_worker,
-            initargs=(channel, stall_after),
-        )
     else:
         executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    futures = {
-        executor.submit(_worker, _spec_payload(spec, timeout, log_level)): (spec, key)
-        for spec, key in pending
-    }
-    remaining = set(futures)
+    futures: Dict[Any, Tuple[JobSpec, Optional[str], Optional[str]]] = {}
     first_running: Dict[Any, float] = {}
-    to_run = len(pending) if total is None else total
+    stalled: set = set()
+
+    def watch(future: Any) -> None:
+        """Log the job's stall dump, once, as soon as it is written."""
+        spec, _key, dump = futures[future]
+        if dump is None or future in stalled:
+            return
+        stack = _read_stall_dump(dump)
+        if stack:
+            stalled.add(future)
+            obs.warning(
+                "corpus.stall", "job silent past the stall threshold",
+                job_id=spec.job_id, elapsed=stall_after, stack=stack,
+            )
+
     hung = False
     try:
+        for index, (spec, key) in enumerate(pending):
+            payload = _spec_payload(spec, timeout, log_level)
+            if dump_dir is not None:
+                payload["stall_after"] = stall_after
+                payload["stall_dump"] = os.path.join(dump_dir, "job-%d.txt" % index)
+            future = executor.submit(_worker, payload)
+            futures[future] = (spec, key, payload.get("stall_dump"))
+        remaining = set(futures)
         while remaining:
             completed, remaining = concurrent.futures.wait(
                 remaining,
-                timeout=max(heartbeat, 0.05),
+                timeout=HEARTBEAT_S,
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
             now = time.monotonic()
             for future in completed:
-                spec, key = futures[future]
+                spec, key, _dump = futures[future]
+                watch(future)
                 try:
                     result = JobResult.from_dict(future.result())
                 except Exception as error:  # worker died or result unpicklable
@@ -1096,10 +991,7 @@ def _execute_pending(
                         "worker failed: %s: %s" % (type(error).__name__, error),
                     )
                 _store_in_cache(cache, key, result)
-                results.append(result)
-                if hub is not None:
-                    hub.job_done(spec.job_id)
-                listener.job_done(result, done_offset + len(results), to_run)
+                settle(result)
                 if result.verdict != "safe":
                     obs.warning(
                         "corpus.runner", "job finished %s" % result.verdict,
@@ -1112,74 +1004,61 @@ def _execute_pending(
                 # a worker finish normally (their results still count).
                 still = set()
                 for future in remaining:
-                    spec, _key = futures[future]
+                    spec = futures[future][0]
                     if future.cancel():
-                        result = _failure_result(
+                        settle(_failure_result(
                             spec, "cancelled", "cancelled by request"
-                        )
-                        results.append(result)
-                        listener.job_done(
-                            result, done_offset + len(results), to_run
-                        )
+                        ))
                         obs.warning(
                             "corpus.runner", "job cancelled", job_id=spec.job_id
                         )
                     else:
                         still.add(future)
                 remaining = still
-            if hub is not None and channel is not None:
-                hub.poll(channel)
-                listener.worker_update(hub.in_flight())
-                obs.sample("corpus.in_flight", len(hub.workers))
-            if status is not None:
-                running_count = sum(1 for f in remaining if f.running())
-                status.tick(
-                    results,
-                    done=done_offset + len(results),
-                    workers=hub.in_flight() if hub is not None else (),
-                    queue_depth=len(remaining) - running_count,
-                    finished=False,
+            if not remaining:
+                break
+            running = [future for future in remaining if future.running()]
+            for future in running:
+                watch(future)
+            in_flight = sorted(
+                (
+                    {"job_id": futures[future][0].job_id,
+                     "elapsed": round(now - first_running.setdefault(future, now), 3),
+                     "stalled": future in stalled}
+                    for future in running
+                ),
+                key=lambda row: -row["elapsed"],
+            )
+            if settle.on_event is not None:
+                settle.on_event("progress", {
+                    "done": settle.done, "to_run": to_run,
+                    "queue_depth": len(remaining) - len(running),
+                    "in_flight": in_flight,
+                })
+            if not completed and in_flight:
+                obs.debug(
+                    "corpus.runner", "heartbeat",
+                    done=settle.done, to_run=to_run,
+                    slowest_in_flight=in_flight[0]["job_id"],
+                    slowest_elapsed_s=in_flight[0]["elapsed"],
                 )
-            if remaining:
-                in_flight = sorted(
-                    (
-                        (futures[future][0].job_id,
-                         now - first_running.setdefault(future, now))
-                        for future in remaining
-                        if future.running()
-                    ),
-                    key=lambda item: -item[1],
-                )
-                listener.heartbeat(done_offset + len(results), to_run, in_flight)
-                if not completed and in_flight:
-                    job_id, elapsed = in_flight[0]
-                    obs.debug(
-                        "corpus.runner", "heartbeat",
-                        done=len(results), to_run=to_run,
-                        slowest_in_flight=job_id,
-                        slowest_elapsed_s=round(elapsed, 3),
+            if deadline is not None and now > deadline:
+                # A worker died without reporting; salvage what
+                # finished and abandon the pool rather than joining
+                # hung processes.
+                hung = True
+                for future in remaining:
+                    spec = futures[future][0]
+                    future.cancel()
+                    settle(_failure_result(
+                        spec, "timeout",
+                        "job never reported within the engine backstop deadline",
+                    ))
+                    obs.error(
+                        "corpus.runner", "backstop deadline fired",
+                        job_id=spec.job_id,
                     )
-                if deadline is not None and now > deadline:
-                    # A worker died without reporting; salvage what
-                    # finished and abandon the pool rather than joining
-                    # hung processes.
-                    hung = True
-                    for future in remaining:
-                        spec, _key = futures[future]
-                        future.cancel()
-                        results.append(
-                            _failure_result(
-                                spec,
-                                "timeout",
-                                "job never reported within the engine "
-                                "backstop deadline",
-                            )
-                        )
-                        obs.error(
-                            "corpus.runner", "backstop deadline fired",
-                            job_id=spec.job_id,
-                        )
-                    break
+                break
     finally:
         if pool is not None:
             # A shared pool stays warm for the next request; it is only
@@ -1189,13 +1068,5 @@ def _execute_pending(
             pool.reset_if_broken()
         else:
             executor.shutdown(wait=not hung, cancel_futures=True)
-        if hub is not None and channel is not None:
-            # One last drain so a stall pushed during the final wave
-            # still reaches the log before the Manager goes away.
-            try:
-                hub.poll(channel)
-            except Exception:
-                pass
-        if manager is not None:
-            manager.shutdown()
-    return results
+        if dump_dir is not None:
+            shutil.rmtree(dump_dir, ignore_errors=True)

@@ -1,54 +1,33 @@
-"""The live worker-telemetry sideband of the corpus engine.
+"""The batch status file: the surface ``python -m repro top`` polls.
 
-Worker snapshots only arrive when a job *finishes* — a hung job is
-invisible until its timeout fires.  This module adds the in-flight
-channel: each worker process runs one daemon sampler thread that
-periodically pushes partial telemetry (current span path, elapsed
-time, counter totals, RSS) for whatever job it is executing over a
-``multiprocessing.Manager`` queue, and the parent's heartbeat loop
-drains the queue into live per-job state (:class:`TelemetryHub`).
+:class:`StatusFile` is a record sink of :func:`repro.corpus.run_corpus`
+(see its doc for the records): it folds the run's ``run``, ``job`` and
+``progress`` records into one small JSON document and rewrites it
+atomically (temp file + rename) at begin, on every ``progress`` tick
+and at finish, so ``top`` renders a live dashboard without attaching
+to the running process.  ``done`` counts the cache hits plus every job
+settled so far, ``verdicts`` every result settled so far (cached ones
+included), and ``workers`` the in-flight rows the engine reads off its
+own futures: ``{job_id, elapsed, stalled}``.
 
-The same sampler doubles as the stall watchdog: once a job has been
-running past ``stall_after`` seconds, the sampler captures a
-``faulthandler`` stack dump of the worker (all threads — including the
-main thread stuck inside the automata construction) and pushes a one-
-shot ``stall`` message; the parent folds it into a structured WARNING
-log event, so a ``--log`` JSONL file carries the hung job's actual
-Python stack joined to a resolvable span id.
-
-The hub's view is also written to a small JSON *status file*
-(atomically, temp-file + rename) every heartbeat tick; ``python -m
-repro top`` polls that file to render the live dashboard without
-attaching to the running process.
-
-Everything here is opt-in: when the engine runs without a stall
-threshold or status file, no Manager process is started and the worker
-sampler never spawns.
+The serve dispatcher writes the same ``kind`` of document, with a
+``requests`` table in place of a single run's counts.
 """
 
 from __future__ import annotations
 
-import faulthandler
 import json
 import os
-import queue as queue_module
 import tempfile
-import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict
 
-from .. import obs
+from ..obs.metrics import Histogram
 
 __all__ = [
     "STATUS_KIND",
     "STATUS_BASENAME",
-    "TelemetryHub",
-    "WorkerState",
-    "init_worker",
-    "job_started",
-    "attach_recorder",
-    "job_finished",
-    "current_rss_kb",
+    "StatusFile",
     "write_status_file",
     "read_status_file",
 ]
@@ -59,253 +38,51 @@ STATUS_KIND = "repro-batch-status"
 #: Default status-file name, created inside the corpus directory.
 STATUS_BASENAME = ".repro-status.json"
 
-#: How often the worker sampler pushes progress (seconds).
-SAMPLE_INTERVAL = 0.25
 
+class StatusFile:
+    """The status-file sink of one run (see the module doc)."""
 
-def current_rss_kb() -> Optional[int]:
-    """This process's peak resident set size in KiB (Unix only)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-Unix
-        return None
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB, macOS bytes; normalize the obvious outlier.
-    return usage // 1024 if usage > 1 << 30 else usage
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.document: Dict[str, Any] = {}
+        self._verdicts: Dict[str, int] = {}
+        self._job_ms = Histogram()
 
-
-def _span_path(recorder: Any) -> str:
-    """The dotted path of the recorder's currently-open span stack,
-    read racily from the sampler thread (the stack is only appended/
-    popped by the worker's main thread, so a stale read is harmless)."""
-    try:
-        stack = list(recorder._stack)
-        return "/".join(span.name for span in stack)
-    except Exception:
-        return ""
-
-
-def _dump_stack() -> str:
-    """A ``faulthandler`` dump of every thread in this process.
-
-    ``faulthandler`` writes to a real file descriptor, not a file-like
-    object, so the dump goes through a temporary file and is read back.
-    """
-    try:
-        with tempfile.TemporaryFile(mode="w+") as handle:
-            faulthandler.dump_traceback(file=handle, all_threads=True)
-            handle.seek(0)
-            return handle.read()
-    except Exception as error:  # pragma: no cover - defensive
-        return "<stack dump failed: %s>" % (error,)
-
-
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-class _JobSlot:
-    """The worker's single mutable slot describing the job in flight."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.job_id: Optional[str] = None
-        self.recorder: Any = None
-        self.started: float = 0.0
-        self.stall_reported = False
-
-
-_SLOT = _JobSlot()
-_CHANNEL: Optional[Any] = None  # the Manager queue proxy, set at pool init
-_STALL_AFTER: Optional[float] = None
-_SAMPLER_STARTED = False
-
-
-def init_worker(channel: Any, stall_after: Optional[float]) -> None:
-    """ProcessPoolExecutor initializer: remember the sideband queue and
-    start this worker's sampler daemon (once per worker process)."""
-    global _CHANNEL, _STALL_AFTER, _SAMPLER_STARTED
-    _CHANNEL = channel
-    _STALL_AFTER = stall_after
-    if not _SAMPLER_STARTED:
-        _SAMPLER_STARTED = True
-        sampler = threading.Thread(
-            target=_sampler_loop, name="repro-telemetry-sampler", daemon=True
-        )
-        sampler.start()
-
-
-def job_started(job_id: str) -> None:
-    """Mark a job as running in this worker (called from ``_worker``)."""
-    with _SLOT.lock:
-        _SLOT.job_id = job_id
-        _SLOT.recorder = None
-        _SLOT.started = time.monotonic()
-        _SLOT.stall_reported = False
-
-
-def attach_recorder(recorder: Any) -> None:
-    """Expose the job's recorder to the sampler thread.  The sampler
-    cannot see it through ``obs.current()`` — ContextVars are
-    thread-local — so ``analyze_pair`` hands it over explicitly."""
-    with _SLOT.lock:
-        _SLOT.recorder = recorder
-
-
-def job_finished() -> None:
-    """Clear the slot (the job's final Snapshot travels the normal
-    result path; the sideband only covers the in-flight window)."""
-    with _SLOT.lock:
-        _SLOT.job_id = None
-        _SLOT.recorder = None
-
-
-def _sampler_loop() -> None:
-    while True:
-        time.sleep(SAMPLE_INTERVAL)
-        channel = _CHANNEL
-        if channel is None:
-            continue
-        with _SLOT.lock:
-            job_id = _SLOT.job_id
-            recorder = _SLOT.recorder
-            started = _SLOT.started
-            stall_reported = _SLOT.stall_reported
-        if job_id is None:
-            continue
-        elapsed = time.monotonic() - started
-        message: Dict[str, Any] = {
-            "kind": "progress",
-            "job_id": job_id,
-            "pid": os.getpid(),
-            "elapsed": round(elapsed, 3),
-            "span_path": _span_path(recorder) if recorder is not None else "",
-            "counters": dict(recorder.counters) if recorder is not None else {},
-            "rss_kb": current_rss_kb(),
-            "ts": time.time(),
-        }
-        if (
-            _STALL_AFTER is not None
-            and elapsed > _STALL_AFTER
-            and not stall_reported
-        ):
-            with _SLOT.lock:
-                # Re-check under the lock so a job rotation between the
-                # snapshot above and now cannot mis-attribute the dump.
-                if _SLOT.job_id == job_id and not _SLOT.stall_reported:
-                    _SLOT.stall_reported = True
-                    stall = dict(message)
-                    stall["kind"] = "stall"
-                    stall["stack"] = _dump_stack()
-                    message = stall
-        try:
-            channel.put_nowait(message)
-        except Exception:
-            # The parent is gone or the queue is full/broken; telemetry
-            # must never take down the analysis itself.
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Parent side
-# ---------------------------------------------------------------------------
-
-class WorkerState:
-    """The parent's last-known view of one in-flight job."""
-
-    __slots__ = ("job_id", "pid", "elapsed", "span_path", "counters",
-                 "rss_kb", "last_seen", "stalled")
-
-    def __init__(self, job_id: str, pid: int) -> None:
-        self.job_id = job_id
-        self.pid = pid
-        self.elapsed = 0.0
-        self.span_path = ""
-        self.counters: Dict[str, float] = {}
-        self.rss_kb: Optional[int] = None
-        self.last_seen = time.monotonic()
-        self.stalled = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "pid": self.pid,
-            "elapsed": round(self.elapsed, 3),
-            "span_path": self.span_path,
-            "rss_kb": self.rss_kb,
-            "stalled": self.stalled,
-        }
-
-
-class TelemetryHub:
-    """Parent-side fold of the sideband: drains the queue into per-job
-    :class:`WorkerState` and surfaces stall dumps as structured WARNING
-    events on the parent's recorder."""
-
-    def __init__(
-        self,
-        on_stall: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> None:
-        self.workers: Dict[str, WorkerState] = {}  # job_id -> state
-        self.stalls: List[Dict[str, Any]] = []
-        self._on_stall = on_stall
-
-    def poll(self, channel: Any) -> int:
-        """Drain every queued message; returns how many were folded."""
-        drained = 0
-        while True:
-            try:
-                message = channel.get_nowait()
-            except (queue_module.Empty, OSError, EOFError):
-                break
-            except Exception:
-                break
-            drained += 1
-            self._fold(message)
-        return drained
-
-    def _fold(self, message: Dict[str, Any]) -> None:
-        job_id = str(message.get("job_id", ""))
-        if not job_id:
+    def __call__(self, type: str, data: Dict[str, Any]) -> None:
+        if type == "run" and data["phase"] == "begin":
+            self._verdicts = dict(data["cached_verdicts"])
+            self.document = {
+                "pid": os.getpid(), "total": data["total"],
+                "cache_hits": data["cache_hits"], "to_run": data["to_run"],
+                "done": data["cache_hits"], "queue_depth": 0, "workers": [],
+                "finished": False,
+            }
+        elif type == "job":
+            verdict = data["verdict"]
+            self._verdicts[verdict] = self._verdicts.get(verdict, 0) + 1
+            self._job_ms.observe(data["job"]["wall_time_s"] * 1000.0)
+            self.document["done"] = self.document["cache_hits"] + data["done"]
             return
-        state = self.workers.get(job_id)
-        if state is None:
-            state = self.workers[job_id] = WorkerState(
-                job_id, int(message.get("pid", 0))
+        elif type == "progress":
+            self.document.update(
+                done=self.document["cache_hits"] + data["done"],
+                queue_depth=data["queue_depth"], workers=data["in_flight"],
             )
-        state.elapsed = float(message.get("elapsed", 0.0))
-        state.span_path = str(message.get("span_path", ""))
-        state.counters = dict(message.get("counters", {}))
-        state.rss_kb = message.get("rss_kb")
-        state.last_seen = time.monotonic()
-        if message.get("kind") == "stall" and not state.stalled:
-            state.stalled = True
-            self.stalls.append(message)
-            obs.warning(
-                "corpus.stall",
-                "job silent past the stall threshold",
-                job_id=job_id,
-                pid=message.get("pid"),
-                elapsed=message.get("elapsed"),
-                span_path=state.span_path,
-                stack=message.get("stack", ""),
-            )
-            if self._on_stall is not None:
-                self._on_stall(message)
-
-    def job_done(self, job_id: str) -> None:
-        self.workers.pop(job_id, None)
-
-    def in_flight(self) -> List[WorkerState]:
-        """Current states, slowest first."""
-        return sorted(
-            self.workers.values(), key=lambda state: -state.elapsed
+        elif type == "run":
+            self.document.update(queue_depth=0, workers=[], finished=True)
+        else:
+            return
+        document = dict(
+            self.document,
+            ts=time.time(),
+            verdicts=dict(sorted(self._verdicts.items())),
+            job_ms=self._job_ms.summary() if self._job_ms.count else None,
         )
-
-
-# ---------------------------------------------------------------------------
-# The status file (the surface ``python -m repro top`` polls)
-# ---------------------------------------------------------------------------
+        try:
+            write_status_file(self.path, document)
+        except OSError:
+            # A vanished directory or full disk must not fail the run.
+            pass
 
 
 def write_status_file(path: str, payload: Dict[str, Any]) -> None:

@@ -101,13 +101,10 @@ from .journal import (
 )
 from .metrics import (
     Histogram,
-    SampleSeries,
     metric_family_name,
-    read_timeline_jsonl,
     render_openmetrics,
     sniff_jsonl_kind,
     validate_openmetrics,
-    write_timeline_jsonl,
 )
 from .recorder import (
     NULL_SPAN,
@@ -121,7 +118,6 @@ from .recorder import (
     label_key,
     observe,
     recording,
-    sample,
     set_gauge,
     span,
 )
@@ -178,14 +174,10 @@ __all__ = [
     "set_gauge",
     "gauge_max",
     "observe",
-    "sample",
     "Histogram",
-    "SampleSeries",
     "render_openmetrics",
     "validate_openmetrics",
     "metric_family_name",
-    "write_timeline_jsonl",
-    "read_timeline_jsonl",
     "sniff_jsonl_kind",
     "NULL_SPAN",
     "render_text",

@@ -145,8 +145,8 @@ def load_run_profile(path: str, label: str = "") -> RunProfile:
     :func:`repro.obs.journal.replay_journal` and its merged Snapshot
     profiled, so ``trace-diff`` can compare a dead process's run
     against a live trace.  Anything else — notably the
-    observability layer's *own* line-oriented artifacts (a
-    ``--metrics`` timeline, a ``--log`` JSONL, a batch status file) —
+    observability layer's *own* line-oriented artifacts (a ``--log``
+    JSONL, a batch status file) —
     raises a ValueError naming what the file actually is and what
     formats are expected, instead of a JSON-decode traceback."""
     if os.path.isdir(path):
@@ -179,15 +179,10 @@ def _profile_from_journal(path: str, label: str = "") -> RunProfile:
 
 def _describe_non_profile(text: str) -> str:
     """Why a non-JSON file is not a run profile, by sniffing."""
-    from .metrics import TIMELINE_KIND, sniff_jsonl_kind
+    from .metrics import sniff_jsonl_kind
 
     expected = "expected a Chrome trace or a profile/Snapshot export"
     kind = sniff_jsonl_kind(text)
-    if kind == TIMELINE_KIND:
-        return (
-            "this is a metrics timeline JSONL (written next to a "
-            "--metrics file), not a run profile; %s" % expected
-        )
     if kind is not None:
         return "this is a %r JSONL artifact, not a run profile; %s" % (
             kind, expected,

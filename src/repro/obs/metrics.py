@@ -1,9 +1,9 @@
-"""Live-metrics primitives: log₂ histograms and sampled gauges.
+"""Latency/size histograms and their OpenMetrics exposition.
 
 The counters and gauges of :mod:`repro.obs.recorder` are *aggregates*:
-one number per name, known only after the run.  A long-running audit
-service (and any before/after performance claim about the PTIME /
-EXPTIME hot paths) needs *distributions* and *time series*:
+one number per name.  A long-running audit service (and any
+before/after performance claim about the PTIME / EXPTIME hot paths)
+also needs *distributions*:
 
 * :class:`Histogram` — a fixed **log₂-bucket** latency/size histogram.
   Bucket ``i`` covers ``(2^(i-1), 2^i]`` (bucket 0 is ``(-inf, 1]``),
@@ -13,11 +13,8 @@ EXPTIME hot paths) needs *distributions* and *time series*:
   ``ProcessPool`` boundary.  ``p50/p90/p99`` come from linear
   interpolation inside the winning bucket, clamped to the observed
   ``min``/``max``.
-* :class:`SampleSeries` — a bounded time series of periodic gauge
-  samples (wall-clock ``ts`` + value), the backing store of the
-  ``--metrics`` JSONL timeline.
 
-Both serialize to plain JSON with **deterministically ordered
+A histogram serializes to plain JSON with **deterministically ordered
 keys** (bucket lists sorted by upper bound, registry maps sorted by
 name), so two runs of the same work produce byte-identical exposition
 regardless of ``PYTHONHASHSEED`` or insertion order.
@@ -25,11 +22,10 @@ regardless of ``PYTHONHASHSEED`` or insertion order.
 Exposition: :func:`render_openmetrics` writes the Prometheus /
 OpenMetrics text format (cumulative ``le`` buckets, ``_sum``/
 ``_count``, terminating ``# EOF``) and :func:`validate_openmetrics` is
-the strict parser CI runs against it.  :func:`write_timeline_jsonl`
-writes the sampled series as a self-identifying JSONL timeline
-(header line ``{"kind": "metrics-timeline", ...}``), which
-``trace-diff``/``explain`` recognize and reject with a clear message
-instead of a traceback.
+the strict parser CI runs against it.  :func:`sniff_jsonl_kind` names
+the repo's self-identifying JSON/JSONL artifacts (journal segments,
+status files) so commands can reject them by name instead of with a
+traceback.
 """
 
 from __future__ import annotations
@@ -37,38 +33,25 @@ from __future__ import annotations
 import json
 import math
 import re
-import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional, TextIO, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Histogram",
-    "SampleSeries",
     "bucket_index",
     "bucket_upper_bound",
     "merge_registry",
     "registry_to_jsonable",
     "histograms_from_jsonable",
-    "samples_from_jsonable",
     "render_openmetrics",
     "validate_openmetrics",
     "metric_family_name",
-    "TIMELINE_KIND",
-    "write_timeline_jsonl",
-    "read_timeline_jsonl",
     "sniff_jsonl_kind",
     "MAX_BUCKET",
-    "DEFAULT_SERIES_MAXLEN",
 ]
 
 #: Bucket indices are clamped to this, so the sparse bucket table has a
 #: fixed, finite key space (values beyond 2**64 land in the top bucket).
 MAX_BUCKET = 64
-
-#: How many trailing samples a :class:`SampleSeries` retains.
-DEFAULT_SERIES_MAXLEN = 512
-
-#: The ``kind`` header identifying a metrics timeline JSONL file.
-TIMELINE_KIND = "metrics-timeline"
 
 
 def bucket_index(value: float) -> int:
@@ -196,66 +179,16 @@ class Histogram:
         )
 
 
-class SampleSeries:
-    """A bounded time series of periodic gauge samples."""
-
-    __slots__ = ("samples", "count", "maxlen")
-
-    def __init__(self, maxlen: int = DEFAULT_SERIES_MAXLEN) -> None:
-        self.samples: List[Tuple[float, float]] = []  # (wall ts, value)
-        self.count = 0  # total ever sampled, including evicted
-        self.maxlen = maxlen
-
-    def sample(self, value: float, ts: Optional[float] = None) -> None:
-        self.count += 1
-        self.samples.append(
-            (time.time() if ts is None else float(ts), float(value))
-        )
-        if len(self.samples) > self.maxlen:
-            del self.samples[: len(self.samples) - self.maxlen]
-
-    @property
-    def last(self) -> Optional[float]:
-        return self.samples[-1][1] if self.samples else None
-
-    def merge(self, other: "SampleSeries") -> None:
-        """Interleave by timestamp, keep the newest ``maxlen``."""
-        self.count += other.count
-        merged = sorted(self.samples + list(other.samples))
-        self.samples = merged[max(0, len(merged) - self.maxlen):]
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "samples": [[ts, value] for ts, value in self.samples],
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: Mapping[str, Any]) -> "SampleSeries":
-        series = cls()
-        series.count = int(payload.get("count", 0))
-        series.samples = [
-            (float(ts), float(value)) for ts, value in payload.get("samples", ())
-        ]
-        return series
-
-    def __repr__(self) -> str:
-        return "SampleSeries(count=%d, last=%s)" % (self.count, self.last)
-
-
 # ---------------------------------------------------------------------------
 # Registry helpers (used by Recorder and Snapshot)
 # ---------------------------------------------------------------------------
 
-_Mergeable = Union[Histogram, SampleSeries]
-
-
 def merge_registry(
-    into: Dict[str, Any], other: Mapping[str, Any]
+    into: Dict[str, Histogram], other: Mapping[str, Histogram]
 ) -> None:
-    """Fold one ``name -> Histogram|SampleSeries`` registry into
-    another in place; missing names are deep-copied via the JSON form
-    so the merged registry never aliases the source."""
+    """Fold one ``name -> Histogram`` registry into another in place;
+    missing names are deep-copied via the JSON form so the merged
+    registry never aliases the source."""
     for name, value in other.items():
         existing = into.get(name)
         if existing is None:
@@ -264,17 +197,13 @@ def merge_registry(
             existing.merge(value)
 
 
-def registry_to_jsonable(registry: Mapping[str, _Mergeable]) -> Dict[str, Any]:
+def registry_to_jsonable(registry: Mapping[str, Histogram]) -> Dict[str, Any]:
     """Name-sorted JSON form of a metrics registry."""
     return {name: registry[name].to_jsonable() for name in sorted(registry)}
 
 
 def histograms_from_jsonable(payload: Mapping[str, Any]) -> Dict[str, Histogram]:
     return {str(k): Histogram.from_jsonable(v) for k, v in payload.items()}
-
-
-def samples_from_jsonable(payload: Mapping[str, Any]) -> Dict[str, SampleSeries]:
-    return {str(k): SampleSeries.from_jsonable(v) for k, v in payload.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -486,84 +415,9 @@ def validate_openmetrics(text: str) -> Dict[str, Dict[str, Any]]:
     return families
 
 
-# ---------------------------------------------------------------------------
-# The JSONL timeline
-# ---------------------------------------------------------------------------
-
-
-def write_timeline_jsonl(
-    samples: Mapping[str, SampleSeries],
-    destination: Union[str, TextIO],
-    run: Optional[str] = None,
-) -> int:
-    """Write the sampled series as a self-identifying JSONL timeline:
-    a ``{"kind": "metrics-timeline", ...}`` header line, then one
-    ``{"ts", "metric", "value"}`` object per sample ordered by
-    ``(ts, metric)``.  Returns the number of sample lines written."""
-    header: Dict[str, Any] = {
-        "kind": TIMELINE_KIND,
-        "version": 1,
-        "series": sorted(samples),
-    }
-    if run:
-        header["run"] = run
-    rows = sorted(
-        (ts, name, value)
-        for name, series in samples.items()
-        for ts, value in series.samples
-    )
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(
-        json.dumps({"metric": name, "ts": ts, "value": value}, sort_keys=True)
-        for ts, name, value in rows
-    )
-    text = "\n".join(lines) + "\n"
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        destination.write(text)
-    return len(rows)
-
-
-def read_timeline_jsonl(
-    source: Union[str, TextIO, Iterable[str]]
-) -> List[Dict[str, Any]]:
-    """Parse a timeline back into its sample rows (header validated
-    and stripped)."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    else:
-        lines = list(source)
-    rows: List[Dict[str, Any]] = []
-    header_seen = False
-    for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            payload = json.loads(stripped)
-        except ValueError:
-            raise ValueError("line %d: not valid JSON" % number) from None
-        if not header_seen:
-            if not (isinstance(payload, dict) and payload.get("kind") == TIMELINE_KIND):
-                raise ValueError(
-                    "line %d: not a metrics timeline (missing the "
-                    '{"kind": "%s"} header)' % (number, TIMELINE_KIND)
-                )
-            header_seen = True
-            continue
-        rows.append(payload)
-    if not header_seen:
-        raise ValueError("empty file: not a metrics timeline")
-    return rows
-
-
 def sniff_jsonl_kind(text: str) -> Optional[str]:
     """The ``kind`` of a JSONL artifact's first line, if it is one
-    (``"metrics-timeline"`` for a ``--metrics`` timeline,
-    ``"obs-journal"`` for a journal segment file — see
+    (``"obs-journal"`` for a journal segment file — see
     :data:`repro.obs.journal.JOURNAL_KIND` — ``"repro-batch-status"``
     for a status file; ``None`` for anything that is not line-wise
     JSON objects)."""

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .metrics import Histogram, SampleSeries
+from .metrics import Histogram
 
 __all__ = [
     "Span",
@@ -46,9 +46,6 @@ __all__ = [
     "set_gauge",
     "gauge_max",
     "observe",
-    "mark",
-    "sample",
-    "timed",
     "NULL_SPAN",
 ]
 
@@ -156,7 +153,7 @@ class Recorder:
     """
 
     __slots__ = ("spans", "counters", "gauges", "labeled", "events",
-                 "histograms", "samples",
+                 "histograms",
                  "log_level", "max_events", "_stack", "_next_span_id")
 
     def __init__(self, log_level: Optional[int] = None,
@@ -168,11 +165,10 @@ class Recorder:
         # keyed name -> label-combination -> value, so the flat
         # ``counters`` table and everything reading it stay untouched.
         self.labeled: Dict[str, Dict[LabelKey, float]] = {}
-        # Distribution registries (see repro.obs.metrics): separate
+        # The histogram registry (see repro.obs.metrics): separate
         # from the flat counters so observing a histogram can never
         # perturb the exact work-counter comparisons.
         self.histograms: Dict[str, Histogram] = {}
-        self.samples: Dict[str, SampleSeries] = {}
         self.events: List[Any] = []  # LogEvent, kept untyped to avoid a cycle
         self.log_level = log_level  # None = event logging off
         # Event-buffer bound: with a cap, the oldest event is dropped
@@ -253,13 +249,6 @@ class Recorder:
         if histogram is None:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
-
-    def sample(self, name: str, value: float, ts: Optional[float] = None) -> None:
-        """Append one periodic sample to the named time series."""
-        series = self.samples.get(name)
-        if series is None:
-            series = self.samples[name] = SampleSeries()
-        series.sample(value, ts)
 
     # -- convenience -------------------------------------------------------
 
@@ -368,12 +357,3 @@ def observe(name: str, value: float) -> None:
     rec = _RECORDER.get()
     if rec is not None:
         rec.observe(name, value)
-
-
-def sample(name: str, value: float) -> None:
-    """Append a periodic sample to a bounded time series (no-op when
-    off).  Sampled series feed the ``--metrics`` JSONL timeline."""
-    rec = _RECORDER.get()
-    if rec is not None:
-        rec.sample(name, value)
-

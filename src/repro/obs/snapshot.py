@@ -30,11 +30,9 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .metrics import (
     Histogram,
-    SampleSeries,
     histograms_from_jsonable,
     merge_registry,
     registry_to_jsonable,
-    samples_from_jsonable,
 )
 from .recorder import LabelKey, Recorder
 
@@ -149,7 +147,6 @@ class Snapshot:
     spans: List[Dict[str, Any]] = field(default_factory=list)
     labeled: Dict[str, Dict[LabelKey, float]] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
-    samples: Dict[str, SampleSeries] = field(default_factory=dict)
 
     @classmethod
     def from_recorder(cls, recorder: Recorder) -> "Snapshot":
@@ -166,13 +163,12 @@ class Snapshot:
             spans=[span_to_dict(root) for root in recorder.spans],
             labeled={name: dict(by_key) for name, by_key in recorder.labeled.items()},
             histograms=_copy_registry(recorder.histograms),
-            samples=_copy_registry(recorder.samples),
         )
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready document (``from_dict`` round-trips it).
-        Version 4 adds the metrics registries (``histograms``,
-        ``samples``); version 3 added ``labeled``."""
+        Version 4 added the ``histograms`` registry; version 3 added
+        ``labeled``.  Empty registries are omitted."""
         out: Dict[str, Any] = {
             "version": 4,
             "counters": dict(self.counters),
@@ -183,8 +179,6 @@ class Snapshot:
             out["labeled"] = labeled_to_jsonable(self.labeled)
         if self.histograms:
             out["histograms"] = registry_to_jsonable(self.histograms)
-        if self.samples:
-            out["samples"] = registry_to_jsonable(self.samples)
         if self.events:
             out["events"] = [dict(event) for event in self.events]
         if self.spans:
@@ -193,9 +187,11 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Snapshot":
-        """Rebuild a snapshot from :meth:`to_dict` output (version 1–3
-        payloads — no metrics registries, no labeled registry, or no
-        events/spans — load fine)."""
+        """Rebuild a snapshot from :meth:`to_dict` output.  Every
+        registry is optional, so payloads that omit one — empty
+        registries, or documents older than the registry — load with
+        it empty; keys this version no longer has (the ``samples``
+        series of older journals) are ignored."""
         return cls(
             counters={str(k): float(v) for k, v in dict(payload.get("counters", {})).items()},
             gauges={str(k): float(v) for k, v in dict(payload.get("gauges", {})).items()},
@@ -204,7 +200,6 @@ class Snapshot:
             spans=[dict(span) for span in payload.get("spans", ())],
             labeled=labeled_from_jsonable(payload.get("labeled", {})),
             histograms=histograms_from_jsonable(payload.get("histograms", {})),
-            samples=samples_from_jsonable(payload.get("samples", {})),
         )
 
     @classmethod
@@ -222,8 +217,7 @@ class Snapshot:
         """A copy carrying only the registries — what a result cache
         should store, so a cache hit never replays stale log events or
         span trees as if the work had happened again.  The labeled and
-        histogram registries merge like counters, so they stay; the sampled time series is replayable state (wall-clock
-        stamped), so it is dropped along with events and spans."""
+        histogram registries merge like counters, so they stay."""
         return Snapshot(
             counters=dict(self.counters),
             gauges=dict(self.gauges),
@@ -258,8 +252,6 @@ class Snapshot:
         merge_labeled(labeled, other.labeled)
         histograms = _copy_registry(self.histograms)
         merge_registry(histograms, other.histograms)
-        samples = _copy_registry(self.samples)
-        merge_registry(samples, other.samples)
         id_map, _ = other._id_map_for(_collect_ids(self.spans))
         return Snapshot(
             counters=counters,
@@ -271,7 +263,6 @@ class Snapshot:
             + _remap_spans(other.spans, id_map),
             labeled=labeled,
             histograms=histograms,
-            samples=samples,
         )
 
     def merge_into(self, recorder: Recorder, prefix: str = "") -> None:
@@ -294,21 +285,12 @@ class Snapshot:
         for name, by_key in self.labeled.items():
             for key, value in by_key.items():
                 recorder.add_labeled_raw(prefix + name, key, value)
-        # The metrics registries merge by their own semantics: histogram
-        # buckets add, sampled series interleave by timestamp.  Prefixes namespace them like the
-        # flat registries.
-        if prefix:
-            merge_registry(
-                recorder.histograms,
-                {prefix + name: h for name, h in self.histograms.items()},
-            )
-            merge_registry(
-                recorder.samples,
-                {prefix + name: s for name, s in self.samples.items()},
-            )
-        else:
-            merge_registry(recorder.histograms, self.histograms)
-            merge_registry(recorder.samples, self.samples)
+        # Histogram buckets add; a prefix namespaces them like the flat
+        # registries.
+        merge_registry(
+            recorder.histograms,
+            {prefix + name: h for name, h in self.histograms.items()},
+        )
         if not self.events and not self.spans:
             return
         id_map: Dict[int, int] = {

@@ -33,7 +33,12 @@ dispatcher owns:
 Execution runs in ``asyncio.to_thread`` threads; events cross back
 into the event loop through ``loop.call_soon_threadsafe`` onto a per-
 request ``asyncio.Queue`` (see :meth:`Dispatcher.stream`).  All
-dispatcher state shared with those threads sits behind one lock.
+dispatcher state shared with those threads sits behind one lock.  The
+engine reports through its one record sink (``run_corpus(on_event=)``):
+each request's sink turns every ``job`` record — computed, cancelled
+or abandoned — into one ``serve.job`` stream line, one ``job`` journal
+record and a row update, and counts the ``run`` record's cache hits as
+done.
 
 The dispatcher also maintains the ``.repro-status.json`` document for
 ``python -m repro top``: same ``kind`` header as a batch status file,
@@ -79,7 +84,7 @@ from ..corpus import (
     summary_dict,
 )
 from ..corpus.cache import ENGINE_VERSION
-from ..corpus.runner import ProgressListener, _sort_key
+from ..corpus.runner import EventSink, _sort_key
 from ..corpus.telemetry import write_status_file
 from .protocol import PROTOCOL_VERSION, event, is_terminal
 
@@ -145,73 +150,10 @@ class Request:
         }
 
 
-class _StreamListener(ProgressListener):
-    """Bridges the engine's progress callbacks onto the event stream:
-    every completed job becomes one ``serve.job`` line carrying the
-    canonical job object (observations stripped — the merged capture
-    is downloadable via ``trace`` instead of repeated per line)."""
-
-    def __init__(
-        self,
-        dispatcher: "Dispatcher",
-        request: Request,
-        emit: Callable[[Dict[str, Any]], None],
-        shard: Optional[int] = None,
-    ) -> None:
-        self._dispatcher = dispatcher
-        self._request = request
-        self._emit = emit
-        self._shard = shard
-
-    def begin(self, total: int, cache_hits: int, to_run: int) -> None:
-        with self._dispatcher._lock:
-            self._request.cache_hits += cache_hits
-            # Cache hits resolve in the parent before any job_done
-            # callback fires; they still count as completed jobs.
-            self._request.jobs_done += cache_hits
-            for _ in range(cache_hits):
-                self._request.verdicts["cached"] = (
-                    self._request.verdicts.get("cached", 0) + 1
-                )
-
-    def job_done(self, result: Any, done: int, to_run: int) -> None:
-        with self._dispatcher._lock:
-            self._request.jobs_done += 1
-            self._request.verdicts[result.verdict] = (
-                self._request.verdicts.get(result.verdict, 0) + 1
-            )
-            done_total = self._request.jobs_done
-        job = job_object(result)
-        job["observations"] = {}
-        fields: Dict[str, Any] = {
-            "job": job,
-            "verdict": result.verdict,
-            "done": done_total,
-            "total": self._request.jobs_total,
-        }
-        if self._shard is not None:
-            fields["shard"] = self._shard
-        self._emit(
-            event(
-                "serve.job", "job finished",
-                request_id=self._request.request_id, **fields,
-            )
-        )
-        journal_data: Dict[str, Any] = {
-            "request_id": self._request.request_id,
-            "job": job,
-            "verdict": result.verdict,
-        }
-        if self._shard is not None:
-            journal_data["shard"] = self._shard
-        self._dispatcher._journal("job", journal_data)
-        self._dispatcher._write_status()
-
-
 class Dispatcher:
     """See the module doc.  Thread-safety: every public method may be
-    called from the event loop; ``_execute`` and the listener run in
-    worker threads and take ``_lock`` around shared state."""
+    called from the event loop; ``_execute`` and the record sinks run
+    in worker threads and take ``_lock`` around shared state."""
 
     def __init__(
         self,
@@ -222,7 +164,6 @@ class Dispatcher:
         cache_dir: Optional[str] = None,
         status_file: Optional[str] = None,
         journal: Optional[Journal] = None,
-        max_request_events: int = MAX_REQUEST_EVENTS,
     ) -> None:
         self.pool = WorkerPool(jobs)
         self.queue_limit = queue_limit
@@ -230,7 +171,6 @@ class Dispatcher:
         self.cache_dir = cache_dir
         self.status_file = status_file
         self.journal = journal
-        self.max_request_events = max_request_events
         self.busy_rejections = 0
         self.recovered_interrupted = 0
         self._requests: Dict[str, Request] = {}
@@ -580,9 +520,8 @@ class Dispatcher:
     ) -> Tuple[RunSummary, obs.Snapshot]:
         """One engine run under its own recorder; returns the summary
         plus the captured Snapshot."""
-        listener = _StreamListener(self, request, emit, shard=shard)
         with obs.recording(log_level=obs.INFO,
-                           max_events=self.max_request_events) as recorder:
+                           max_events=MAX_REQUEST_EVENTS) as recorder:
             with obs.span("serve.request") as span:
                 span.set("request_id", request.request_id)
                 if shard is not None:
@@ -591,7 +530,7 @@ class Dispatcher:
                     jobs,
                     timeout=timeout,
                     cache=cache,
-                    progress=listener,
+                    on_event=self._record_sink(request, emit, shard),
                     pool=self.pool,
                     cancel=request.cancel_event.is_set,
                 )
@@ -600,6 +539,54 @@ class Dispatcher:
             with self._lock:
                 self._recorder.add("serve.events.dropped", dropped)
         return summary, obs.Snapshot.from_recorder(recorder)
+
+    def _record_sink(
+        self,
+        request: Request,
+        emit: Callable[[Dict[str, Any]], None],
+        shard: Optional[int],
+    ) -> EventSink:
+        """The run records of one request (or shard) as the request's
+        row update, its ``serve.job`` stream lines and its ``job``
+        journal records.  Cache hits count as done, under the
+        ``cached`` verdict; every other job arrives as a ``job`` record
+        with the canonical job object, observations stripped (the
+        merged capture is downloadable via ``trace`` instead)."""
+
+        def on_event(type: str, data: Dict[str, Any]) -> None:
+            if type == "run" and data["phase"] == "begin":
+                hits = data["cache_hits"]
+                with self._lock:
+                    request.cache_hits += hits
+                    request.jobs_done += hits
+                    if hits:
+                        request.verdicts["cached"] = (
+                            request.verdicts.get("cached", 0) + hits
+                        )
+                return
+            if type != "job":
+                return
+            verdict = data["verdict"]
+            with self._lock:
+                request.jobs_done += 1
+                request.verdicts[verdict] = request.verdicts.get(verdict, 0) + 1
+                done = request.jobs_done
+            fields: Dict[str, Any] = {
+                "job": data["job"], "verdict": verdict,
+                "done": done, "total": request.jobs_total,
+            }
+            journal_data: Dict[str, Any] = {
+                "request_id": request.request_id,
+                "job": data["job"], "verdict": verdict,
+            }
+            if shard is not None:
+                fields["shard"] = journal_data["shard"] = shard
+            emit(event("serve.job", "job finished",
+                       request_id=request.request_id, **fields))
+            self._journal("job", journal_data)
+            self._write_status()
+
+        return on_event
 
     def _run_sharded(
         self,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -16,12 +17,14 @@ from repro.corpus import (
     discover_jobs,
     job_cache_key,
     job_fails,
+    open_cache,
     parse_manifest,
     render,
     run_corpus,
 )
 from repro.corpus.manifest import JobSpec
 from repro.corpus.runner import FAULT_DELAY_ENV
+from repro.obs.journal import read_journal
 
 RECIPES_SCHEMA = """
 # the Example 2.3 DTD, abridged
@@ -425,3 +428,48 @@ class TestExampleCorpus:
             "select.tdx x recipes.schema [protect comment]": "unsafe",
             "broken.tdx x recipes.schema": "error",
         }
+
+
+class TestRunRecords:
+    """``run_corpus``'s one sink: the journal's own records."""
+
+    CORPUS = TestExampleCorpus.CORPUS
+
+    def test_batch_journal_record_order(self, tmp_path, capsys):
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(
+            self.CORPUS, corpus, ignore=shutil.ignore_patterns(".repro-*")
+        )
+        run_corpus(discover_jobs(corpus)[:2], cache=open_cache(corpus))
+        journal = str(tmp_path / "journal")
+        # --timeout sends every miss to the pool, which ticks progress.
+        assert main([
+            "batch", corpus, "--journal", journal, "--timeout", "30",
+            "--no-progress", "--format", "json",
+        ]) == 1
+        records = read_journal(journal)
+        assert all(record.type != "progress" for record in records)
+        run = [record for record in records if record.type in ("run", "job")]
+        assert [record.type for record in run] == ["run"] + ["job"] * 4 + ["run"]
+        begin, jobs, finish = run[0].data, run[1:-1], run[-1].data
+        assert begin["phase"] == "begin"
+        assert (begin["total"], begin["cache_hits"], begin["to_run"]) == (6, 2, 4)
+        assert [record.data["done"] for record in jobs] == [1, 2, 3, 4]
+        for record in jobs:
+            assert record.data["job"]["observations"] == {}
+            assert record.data["job"]["cache_hit"] is False
+            assert record.data["verdict"] == record.data["job"]["verdict"]
+        assert finish["phase"] == "finish"
+        assert finish["summary"]["jobs"] == 6
+
+    def test_jobs_withdrawn_before_submission_are_announced(self):
+        records = []
+        summary = run_corpus(
+            discover_jobs(self.CORPUS), timeout=30, cancel=lambda: True,
+            on_event=lambda type, data: records.append((type, data)),
+        )
+        jobs = [data for type, data in records if type == "job"]
+        assert len(jobs) == 6
+        assert {data["verdict"] for data in jobs} == {"cancelled"}
+        assert [data["done"] for data in jobs] == [1, 2, 3, 4, 5, 6]
+        assert summary.verdict_counts()["cancelled"] == 6

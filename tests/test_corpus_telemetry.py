@@ -1,25 +1,28 @@
-"""Tests for the corpus live-telemetry sideband: the worker sampler
-protocol, the parent TelemetryHub fold, the stall watchdog, the status
-file, and the ``top`` / ``--progress`` CLI surface."""
+"""Tests for live corpus monitoring: the stall watchdog, the status
+file sink, and the ``top`` / ``--progress`` CLI surface."""
 
 import json
+import multiprocessing
 import os
-import queue
+import shutil
 
 import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.corpus import discover_jobs, run_corpus
+from repro.corpus import WorkerPool, discover_jobs, open_cache, run_corpus
 from repro.corpus import telemetry
 from repro.corpus.runner import FAULT_DELAY_ENV
 from repro.corpus.telemetry import (
     STATUS_BASENAME,
     STATUS_KIND,
-    TelemetryHub,
-    WorkerState,
+    StatusFile,
     read_status_file,
     write_status_file,
+)
+
+EXAMPLE_CORPUS = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "files", "corpus"
 )
 
 RECIPES_SCHEMA = """
@@ -50,72 +53,6 @@ def corpus(tmp_path):
     return root
 
 
-def _progress(job_id="j1", pid=42, elapsed=0.5, kind="progress", **extra):
-    message = {
-        "kind": kind,
-        "job_id": job_id,
-        "pid": pid,
-        "elapsed": elapsed,
-        "span_path": "batch.run/ptime.copying",
-        "counters": {"ptime.product_states": 7},
-        "rss_kb": 1024,
-        "ts": 123.0,
-    }
-    message.update(extra)
-    return message
-
-
-class TestTelemetryHub:
-    def test_poll_folds_progress_into_worker_state(self):
-        hub = TelemetryHub()
-        channel = queue.Queue()
-        channel.put(_progress(elapsed=0.25))
-        channel.put(_progress(elapsed=0.75))
-        assert hub.poll(channel) == 2
-        state = hub.workers["j1"]
-        assert state.elapsed == 0.75
-        assert state.span_path == "batch.run/ptime.copying"
-        assert state.rss_kb == 1024
-        assert not state.stalled
-
-    def test_stall_message_emits_one_warning_with_stack(self):
-        stalls = []
-        hub = TelemetryHub(on_stall=stalls.append)
-        channel = queue.Queue()
-        channel.put(_progress(kind="stall", stack="Thread 0x1 (most recent)"))
-        channel.put(_progress(kind="stall", stack="second dump"))
-        with obs.recording(log_level=obs.WARNING) as recorder:
-            hub.poll(channel)
-        warnings = [
-            event.to_dict() for event in recorder.events
-            if event.to_dict()["logger"] == "corpus.stall"
-        ]
-        # The second stall message for the same job folds silently.
-        assert len(warnings) == 1
-        assert "Thread 0x1" in warnings[0]["fields"]["stack"]
-        assert warnings[0]["fields"]["job_id"] == "j1"
-        assert len(stalls) == 1
-        assert hub.workers["j1"].stalled
-
-    def test_job_done_clears_state_and_in_flight_sorts_slowest_first(self):
-        hub = TelemetryHub()
-        channel = queue.Queue()
-        channel.put(_progress(job_id="fast", elapsed=0.1))
-        channel.put(_progress(job_id="slow", elapsed=9.0))
-        hub.poll(channel)
-        assert [state.job_id for state in hub.in_flight()] == ["slow", "fast"]
-        hub.job_done("slow")
-        assert [state.job_id for state in hub.in_flight()] == ["fast"]
-
-    def test_poll_survives_malformed_messages(self):
-        hub = TelemetryHub()
-        channel = queue.Queue()
-        channel.put({"kind": "progress"})  # no job_id: ignored
-        channel.put(_progress())
-        assert hub.poll(channel) == 2
-        assert list(hub.workers) == ["j1"]
-
-
 class TestStatusFile:
     def test_write_read_round_trip(self, tmp_path):
         path = str(tmp_path / STATUS_BASENAME)
@@ -130,11 +67,6 @@ class TestStatusFile:
             json.dump({"kind": "something-else"}, handle)
         with pytest.raises(ValueError, match=STATUS_KIND):
             read_status_file(path)
-
-    def test_worker_state_to_dict_is_jsonable(self):
-        state = WorkerState("j1", 42)
-        state.elapsed = 1.5
-        json.dumps(state.to_dict())
 
 
 class TestStallWatchdogEndToEnd:
@@ -153,7 +85,7 @@ class TestStallWatchdogEndToEnd:
                 max_workers=1,
                 timeout=30,
                 stall_after=0.4,
-                status_file=status_path,
+                on_event=StatusFile(status_path),
             )
         assert summary.results[0].verdict != "timeout"
         stalls = [
@@ -179,9 +111,8 @@ class TestCliSurface:
             "to_run": 3, "done": 2, "queue_depth": 1,
             "verdicts": {"safe": 2},
             "workers": [{
-                "job_id": "select.tdx x recipes.schema", "pid": 99,
-                "elapsed": 1.25, "span_path": "batch.run/ptime.copying",
-                "rss_kb": 2048, "stalled": True,
+                "job_id": "select.tdx x recipes.schema",
+                "elapsed": 1.25, "stalled": True,
             }],
             "job_ms": {"count": 2, "p50": 10.0, "p90": 20.0,
                        "p99": 30.0, "max": 31.0, "min": 5.0, "sum": 41.0},
@@ -191,7 +122,6 @@ class TestCliSurface:
         out = capsys.readouterr().out
         assert "2/4" in out
         assert "STALLED" in out
-        assert "ptime.copying" in out
 
     def test_top_once_without_status_file_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "nothing.json")
@@ -234,22 +164,88 @@ class TestCliSurface:
         assert any(name.startswith("repro_corpus") for name in families)
 
 
-class TestSamplerHelpers:
-    def test_current_rss_kb_is_positive_on_unix(self):
-        rss = telemetry.current_rss_kb()
-        assert rss is None or rss > 0
+class TestStallOnSharedPool:
+    def test_one_warning_per_stalled_job(self, corpus, monkeypatch):
+        # The watchdog is armed per job inside the worker, so a shared
+        # pool (serve's) needs no initializer for it.  The hang spans
+        # two heartbeats that both find the dump, and still yields one
+        # warning.
+        monkeypatch.setenv(FAULT_DELAY_ENV, "select:2.2")
+        pool = WorkerPool(1)
+        try:
+            with obs.recording(log_level=obs.WARNING) as recorder:
+                summary = run_corpus(
+                    discover_jobs(str(corpus)), timeout=30,
+                    stall_after=0.4, pool=pool,
+                )
+        finally:
+            pool.shutdown()
+        assert summary.results[0].verdict == "safe"
+        stalls = [
+            event.to_dict() for event in recorder.events
+            if event.to_dict()["logger"] == "corpus.stall"
+        ]
+        assert len(stalls) == 1
+        fields = stalls[0]["fields"]
+        assert fields["job_id"] == summary.results[0].job_id
+        assert "(most recent call first)" in fields["stack"]
+        assert "_maybe_inject_delay" in fields["stack"]
 
-    def test_dump_stack_contains_this_thread(self):
-        dump = telemetry._dump_stack()
-        assert "thread" in dump.lower()
-        assert "telemetry.py" in dump
 
-    def test_span_path_reads_open_span_stack(self):
-        with obs.recording() as recorder:
-            with obs.span("outer"):
-                with obs.span("inner"):
-                    assert telemetry._span_path(recorder) == "outer/inner"
-        assert telemetry._span_path(recorder) == ""
+class TestNoManagerProcess:
+    def test_stall_watch_and_status_file_without_a_manager(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        def no_manager(*args, **kwargs):
+            raise AssertionError("a corpus run must not start a Manager")
 
-    def test_span_path_tolerates_recorderless_input(self):
-        assert telemetry._span_path(object()) == ""
+        monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+        status_path = str(tmp_path / STATUS_BASENAME)
+        summary = run_corpus(
+            discover_jobs(str(corpus)), max_workers=1, timeout=30,
+            stall_after=5, on_event=StatusFile(status_path),
+        )
+        assert summary.results[0].verdict == "safe"
+        status = read_status_file(status_path)
+        assert status["finished"] is True
+        assert status["done"] == status["total"] == 1
+
+
+class TestStatusFileCounts:
+    def test_documents_count_cache_hits_and_never_go_back(
+        self, tmp_path, monkeypatch
+    ):
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(
+            EXAMPLE_CORPUS, corpus, ignore=shutil.ignore_patterns(".repro-*")
+        )
+        jobs = discover_jobs(corpus)
+        cache = open_cache(corpus)
+        run_corpus(jobs[:3], timeout=30, cache=cache)
+        documents = []
+        write = telemetry.write_status_file
+
+        def capture(path, payload):
+            documents.append(payload)
+            write(path, payload)
+
+        monkeypatch.setattr(telemetry, "write_status_file", capture)
+        # timeout= sends every miss to the pool.
+        summary = run_corpus(
+            jobs, timeout=30, cache=cache,
+            on_event=StatusFile(str(tmp_path / STATUS_BASENAME)),
+        )
+        assert summary.cache_hits == 3
+        first, last = documents[0], documents[-1]
+        assert first["done"] == 3
+        assert sum(first["verdicts"].values()) == 3
+        for before, after in zip(documents, documents[1:]):
+            assert after["done"] >= before["done"]
+            for verdict, count in before["verdicts"].items():
+                assert after["verdicts"].get(verdict, 0) >= count
+        assert last["done"] == last["total"] == 6
+        assert last["verdicts"] == {
+            verdict: count
+            for verdict, count in summary.verdict_counts().items() if count
+        }
+        assert last["finished"] is True

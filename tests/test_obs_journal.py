@@ -99,6 +99,7 @@ class TestFraming:
         [path] = journal_segments(str(tmp_path / "j"))
         text = open(path).read()
         assert sniff_jsonl_kind(text) == JOURNAL_KIND
+        assert sniff_jsonl_kind("just text") is None
         header, records, corrupt = read_segment(path)
         assert header["kind"] == JOURNAL_KIND
         assert header["segment"] == 1

@@ -12,7 +12,6 @@ from repro import obs
 from repro.cli import main
 from repro.corpus import ProgressReporter, analyze_pair, run_corpus
 from repro.corpus.manifest import JobSpec
-from repro.obs.log import LogEvent
 
 RECIPES_SCHEMA = """
 start recipes
@@ -282,31 +281,40 @@ class TestProgressReporter:
         def isatty(self):
             return True
 
-    def _result(self, verdict="unsafe"):
+    BEGIN = {"phase": "begin", "total": 6, "cache_hits": 2, "to_run": 4,
+             "cached_verdicts": {"safe": 2}}
+    PROGRESS = {"done": 1, "to_run": 4, "queue_depth": 0, "in_flight": [
+        {"job_id": "slow.tdx x b.schema", "elapsed": 3.2, "stalled": False},
+    ]}
+    FINISH = {"phase": "finish", "summary": {"jobs": 6}}
+
+    def _job(self, verdict="unsafe", done=1):
         from repro.corpus.runner import JobResult
 
-        return JobResult(
+        job = JobResult(
             job_id="a.tdx x b.schema", transducer="a.tdx", schema="b.schema",
             verdict=verdict, wall_time_s=0.5,
-        )
+        ).to_dict()
+        job["observations"] = {}
+        return {"job": job, "verdict": verdict, "done": done}
 
     def test_silent_on_piped_streams(self):
         stream = io.StringIO()
         reporter = ProgressReporter(stream=stream)
-        reporter.begin(6, 2, 4)
-        reporter.job_done(self._result(), 1, 4)
-        reporter.heartbeat(1, 4, [("slow.tdx x b.schema", 3.2)])
-        reporter.finish()
+        reporter("run", self.BEGIN)
+        reporter("job", self._job())
+        reporter("progress", self.PROGRESS)
+        reporter("run", self.FINISH)
         assert stream.getvalue() == ""
 
     def test_live_line_on_a_tty(self, monkeypatch):
         stream = self._Tty()
         monkeypatch.setattr("sys.stdout", self._Tty())
         reporter = ProgressReporter(stream=stream)
-        reporter.begin(6, 2, 4)
-        reporter.heartbeat(1, 4, [("slow.tdx x b.schema", 3.2)])
-        reporter.job_done(self._result(), 2, 4)
-        reporter.finish()
+        reporter("run", self.BEGIN)
+        reporter("progress", self.PROGRESS)
+        reporter("job", self._job(done=2))
+        reporter("run", self.FINISH)
         output = stream.getvalue()
         assert "\r" in output
         assert "batch 1/4 done" in output
@@ -317,7 +325,8 @@ class TestProgressReporter:
     def test_explicit_live_override(self):
         stream = io.StringIO()
         reporter = ProgressReporter(stream=stream, live=True)
-        reporter.begin(1, 0, 1)
+        reporter("run", {"phase": "begin", "total": 1, "cache_hits": 0,
+                         "to_run": 1, "cached_verdicts": {}})
         assert "batch 0/1 done" in stream.getvalue()
 
 

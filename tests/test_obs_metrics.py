@@ -1,6 +1,5 @@
-"""Tests for the metrics registries (histograms, sample series),
-Snapshot v4 transport, and the OpenMetrics/timeline exposition
-formats."""
+"""Tests for the histogram registry, Snapshot v4 transport, and the
+OpenMetrics exposition format."""
 
 import json
 import multiprocessing
@@ -15,15 +14,11 @@ from repro.obs import Snapshot
 from repro.obs.metrics import (
     MAX_BUCKET,
     Histogram,
-    SampleSeries,
     bucket_index,
     bucket_upper_bound,
     merge_registry,
-    read_timeline_jsonl,
     render_openmetrics,
-    sniff_jsonl_kind,
     validate_openmetrics,
-    write_timeline_jsonl,
 )
 
 
@@ -94,42 +89,21 @@ class TestHistogram:
         assert clone.summary() == histogram.summary()
 
 
-class TestMeterAndSamples:
-    def test_sample_series_is_bounded(self):
-        series = SampleSeries(maxlen=4)
-        for i in range(10):
-            series.sample(float(i), ts=float(i))
-        assert len(series.samples) == 4
-        assert series.count == 10  # evicted samples still counted
-
-    def test_sample_series_merge_round_trip(self):
-        a, b = SampleSeries(), SampleSeries()
-        a.sample(1.0, ts=10.0)
-        b.sample(2.0, ts=5.0)
-        a.merge(b)
-        clone = SampleSeries.from_jsonable(a.to_jsonable())
-        assert clone.samples == [(5.0, 2.0), (10.0, 1.0)]
-
-
 class TestRecorderIntegration:
     def test_observe_mark_sample_record_into_registries(self):
         with obs.recording() as recorder:
             obs.observe("x.ms", 3.5)
             obs.observe("x.ms", 9.0)
-            obs.sample("depth", 4)
         assert recorder.histograms["x.ms"].count == 2
-        assert recorder.samples["depth"].last == 4
 
     def test_disabled_mode_is_a_noop(self):
         # No recorder: nothing is created, nothing raises.
         obs.observe("x.ms", 1.0)
-        obs.sample("depth", 1)
 
 
 def _spawn_worker(index):
     with obs.recording() as recorder:
         obs.observe("worker.ms", float(index + 1))
-        obs.sample("worker.depth", index)
     return Snapshot.from_recorder(recorder).to_dict()
 
 
@@ -137,20 +111,17 @@ class TestSnapshotV4:
     def test_to_dict_version_4_round_trip(self):
         with obs.recording() as recorder:
             obs.observe("h", 3)
-            obs.sample("s", 1)
         payload = Snapshot.from_recorder(recorder).to_dict()
         assert payload["version"] == 4
         clone = Snapshot.from_dict(json.loads(json.dumps(payload)))
         assert clone.histograms["h"].count == 1
-        assert clone.samples["s"].last == 1
 
     def test_v3_payload_without_registries_still_loads(self):
         with obs.recording() as recorder:
             obs.add("n", 1)
         payload = Snapshot.from_recorder(recorder).to_dict()
         payload["version"] = 3
-        for key in ("histograms", "samples"):
-            payload.pop(key, None)
+        payload.pop("histograms", None)
         clone = Snapshot.from_dict(payload)
         assert clone.counters["n"] == 1
         assert clone.histograms == {}
@@ -168,10 +139,8 @@ class TestSnapshotV4:
     def test_without_replayable_state_keeps_registries_drops_samples(self):
         with obs.recording() as recorder:
             obs.observe("h", 1)
-            obs.sample("s", 1)
         stripped = Snapshot.from_recorder(recorder).without_replayable_state()
         assert stripped.histograms["h"].count == 1
-        assert stripped.samples == {}
 
     def test_spawn_pool_merge(self):
         # The real worker transport: snapshots produced in spawn-mode
@@ -185,7 +154,6 @@ class TestSnapshotV4:
                 Snapshot.from_dict(payload).merge_into(recorder)
         assert recorder.histograms["worker.ms"].count == 4
         assert recorder.histograms["worker.ms"].maximum == 4.0
-        assert recorder.samples["worker.depth"].count == 4
 
 
 class TestOpenMetrics:
@@ -255,25 +223,6 @@ class TestOpenMetrics:
         text = render_openmetrics(*self._registries())
         with pytest.raises(ValueError, match="EOF"):
             validate_openmetrics(text.replace("# EOF\n", ""))
-
-
-class TestTimeline:
-    def test_write_read_round_trip(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        series = SampleSeries()
-        series.sample(3.0, ts=2.0)
-        series.sample(5.0, ts=1.0)
-        written = write_timeline_jsonl({"corpus.in_flight": series}, path)
-        assert written == 2
-        rows = read_timeline_jsonl(path)
-        assert [(r["ts"], r["value"]) for r in rows] == [(1.0, 5.0), (2.0, 3.0)]
-
-    def test_sniff_identifies_timeline(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        write_timeline_jsonl({"m": SampleSeries()}, path)
-        with open(path, encoding="utf-8") as handle:
-            assert sniff_jsonl_kind(handle.read()) == "metrics-timeline"
-        assert sniff_jsonl_kind("just text") is None
 
 
 class TestMergeRegistry:

@@ -353,6 +353,35 @@ class TestLifetimeRecorder:
         )
 
 
+class TestCancelledBeforeStart:
+    def test_every_withdrawn_job_streams_and_counts(self):
+        """Jobs withdrawn before any was submitted still settle through
+        the request's record sink: one ``serve.job`` line each, and a
+        row that counts them."""
+        corpus = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "files", "corpus"
+        )
+        dispatcher = Dispatcher(jobs=1)
+        loop = asyncio.new_event_loop()
+
+        async def drain(request):
+            return [line async for line in dispatcher.stream(request)]
+
+        try:
+            request = dispatcher.admit({"corpus_dir": corpus, "no_cache": True})
+            request.cancel_event.set()
+            events = loop.run_until_complete(drain(request))
+        finally:
+            loop.close()
+            dispatcher.shutdown()
+        jobs = [line for line in events if line["logger"] == "serve.job"]
+        assert len(jobs) == 6
+        assert [line["fields"]["done"] for line in jobs] == [1, 2, 3, 4, 5, 6]
+        assert request.state == "cancelled"
+        assert request.row()["done"] == 6
+        assert request.row()["verdicts"] == {"cancelled": 6}
+
+
 class TestProtocol:
     def test_terminal_vocabulary(self):
         assert is_terminal(event("serve.request", "request finished"))
