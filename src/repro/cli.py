@@ -146,10 +146,14 @@ analysis and folds the labeled counter registry (per-rule product
 states, per-label inverse-type vectors, per-pass dataflow work; see
 :mod:`repro.obs.attr`) into hot-rule tables with coverage shares.
 ``trace-diff`` answers *what changed between two runs*: it aligns two
-exported run files — Chrome traces, profile snapshots, or journals,
-in any combination — by span name-path and counter name, and reports
+runs — any two of a Chrome ``--trace`` file, a Snapshot document (the
+serve ``trace`` op's ``fields.snapshot``), a journal directory or one
+journal segment — by span name-path and counter name, and reports
 duration, counter, and attribution deltas worst-first (see
-:mod:`repro.obs.diff`).
+:mod:`repro.obs.diff`).  ``trace-diff``, ``report``, ``journal`` and
+``explain`` read their inputs through one sniffer
+(:func:`repro.obs.sniff_artifact`), so any other file the repo writes
+is rejected with exit 2 as ``PATH: this is ...; expected ...``.
 
 Only the actual products (XML, JSON, reports) go to stdout; error
 messages and advisory chatter go to stderr, so stdout stays pipeable.
@@ -166,9 +170,11 @@ Exit status, for CI use:
       ``subschema``: empty safe sub-schema; ``batch``: some job
       unsafe, errored, timed out, or with findings at/above the
       threshold)
-2     bad input (missing files; malformed or non-UTF-8 schema,
-      transducer or XML files, reported as ``PATH:LINE``; malformed
-      corpus/manifest, ``CliError``; ``submit``: also an
+2     bad input (missing or unreadable files, a directory where a
+      file belongs, reported as ``PATH: ...``; malformed or non-UTF-8
+      schema, transducer or XML files, reported as ``PATH:LINE``;
+      an artifact of the wrong kind; malformed corpus/manifest,
+      ``CliError``; ``submit``: also an
       unreachable server or a server-side discovery failure)
 3     ``submit`` only: the server refused admission — the bounded
       queue is at its high-water mark (HTTP's 429); retry later
@@ -274,9 +280,13 @@ class LoadedTransducer(NamedTuple):
 
 def _open_utf8(path: str) -> io.StringIO:
     """The file as ``open(path, encoding="utf-8")`` reads it, except that
-    a byte that is not UTF-8 is a :class:`CliError` at its line."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    a path that cannot be read (missing, a directory) is a
+    :class:`CliError`, and so is a byte that is not UTF-8, at its line."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as error:
+        raise CliError("%s: %s" % (path, error.strerror or error)) from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as error:
@@ -778,15 +788,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )]
     journal = None
     if args.journal:
-        from .obs import flight
         from .obs.journal import Journal
 
+        # Open until the run's snapshot is journaled; an uncaught
+        # exception before then leaves a ``crash`` record.
         journal = Journal(args.journal)
         sinks.append(corpus.journal_sink(journal))
-        # Crash postmortems land next to the journal segments.
-        flight.install(args.journal)
-        flight.note("batch.starting", corpus_dir=args.corpus_dir,
-                    jobs=len(jobs))
 
     def on_event(type: str, data: Dict[str, Any]) -> None:
         for sink in sinks:
@@ -987,39 +994,24 @@ def _write_or_print(rendered: str, output: Optional[str]) -> None:
         sys.stdout.write(rendered)
 
 
-def _reject_observability_artifact(path: str, expected: str) -> None:
-    """Exit 2 with a named-format error when ``path`` is actually one
-    of the observability layer's own JSON/JSONL artifacts (a journal
-    segment, a batch status file, a log/trace export) passed where a
-    ``expected`` input belongs."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            head = handle.read(65536)
-    except (OSError, UnicodeDecodeError):
-        return
-    kind = obs.sniff_jsonl_kind(head)
-    if kind is not None:
-        raise CliError(
-            "%s is a %r JSONL artifact — expected %s" % (path, kind, expected)
-        )
-    stripped = head.lstrip()
-    if stripped.startswith("# TYPE ") or stripped.startswith("# HELP "):
-        raise CliError(
-            "%s looks like an OpenMetrics exposition (--metrics output), "
-            "not %s" % (path, expected)
-        )
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     """``explain``: run the full pair analysis and attribute the work
     counters to the rules/sites responsible (see :mod:`repro.obs.attr`)."""
     from .corpus import analyze_pair
+    from .obs.export import ARTIFACTS
 
     # Load up-front so malformed inputs exit 2 with a parse error
     # instead of surfacing as a job-level 'error' verdict — and name
-    # the format when an observability artifact lands here by mistake.
-    _reject_observability_artifact(args.transducer, "a transducer (.tdx)")
-    _reject_observability_artifact(args.schema, "a schema (.schema)")
+    # the kind when a file this program wrote lands here by mistake.
+    for path, wanted in ((args.transducer, "a transducer (.tdx)"),
+                         (args.schema, "a schema (.schema)")):
+        try:
+            kind = obs.sniff_artifact(path)
+        except ValueError as error:
+            raise CliError(str(error)) from None
+        if kind is not None:
+            raise CliError("%s: this is %s; expected %s"
+                           % (path, ARTIFACTS[kind], wanted))
     load_transducer_ex(args.transducer)
     load_schema_ex(args.schema)
     result = analyze_pair(args.transducer, args.schema, args.protect or ())
@@ -1043,8 +1035,8 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     """``trace-diff``: structurally align two exported runs and report
     the divergence, worst first (see :mod:`repro.obs.diff`)."""
     try:
-        profile_a = obs.load_run_profile(args.run_a)
-        profile_b = obs.load_run_profile(args.run_b)
+        profile_a = obs.profile_from_snapshot(obs.read_run(args.run_a), args.run_a)
+        profile_b = obs.profile_from_snapshot(obs.read_run(args.run_b), args.run_b)
     except ValueError as error:
         raise CliError(str(error)) from None
     diff = obs.diff_profiles(profile_a, profile_b)
@@ -1082,7 +1074,7 @@ def _render_serve_frame(status: Dict[str, Any]) -> str:
     journal = status.get("journal")
     if journal:
         # Journal health (serve --journal-dir): lag is records not yet
-        # fsynced — the crash-loss window under the interval policy.
+        # fsynced — what a power cut would lose.
         lines.append(
             "journal: %s (%.1f KiB, %s segment(s)) · lag %s · "
             "%s interrupted recovered"
@@ -1249,6 +1241,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
     action = args.journal_command
     try:
+        obs.sniff_artifact(args.path, ("journal",))
         if action == "ls":
             scan = obs_journal.scan_journal(args.path)
             for info in scan.segments:
@@ -1314,26 +1307,33 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                     % (args.request_id, args.path)
                 )
             return 0
-        # replay: rebuild the artifacts from the journal alone
+        # replay: rebuild the artifacts from the journal alone, with
+        # the exporters a live run uses
         replay = obs_journal.replay_journal(args.path)
+        snapshot = replay.snapshot
         wrote = False
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as handle:
-                json.dump(replay.chrome_trace(), handle, indent=2,
-                          sort_keys=True)
+            recorder = obs.Recorder(log_level=obs.DEBUG)
+            snapshot.merge_into(recorder)
+            obs.write_chrome_trace(recorder, args.trace)
             print("wrote %s" % args.trace, file=sys.stderr)
             wrote = True
         if args.metrics:
             with open(args.metrics, "w", encoding="utf-8") as handle:
-                handle.write(replay.openmetrics())
+                handle.write(obs.render_openmetrics(
+                    snapshot.counters, snapshot.gauges, snapshot.histograms))
             print("wrote %s" % args.metrics, file=sys.stderr)
             wrote = True
         if args.html:
+            from .obs.html import render_report_html
+
             generated = time.strftime(
                 "%Y-%m-%d %H:%M:%S UTC", time.gmtime()
             )
-            rendered = replay.html_report(
-                title=args.title, generated=generated
+            rendered = render_report_html(
+                snapshot, log_events=snapshot.events,
+                corpus=replay.corpus_doc(),
+                title=args.title, generated=generated,
             )
             with open(args.html, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
@@ -1523,8 +1523,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal", metavar="DIR",
         help="append every job verdict and the final run snapshot to a "
         "crash-safe journal under DIR (inspect/replay with 'python -m "
-        "repro journal'); also arms the flight recorder's crash-*.json "
-        "postmortem dumps there",
+        "repro journal'); an uncaught exception is journaled as a "
+        "crash record",
     )
     _add_observation_flags(batch)
     batch.set_defaults(func=_cmd_batch)
@@ -1583,8 +1583,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write-ahead journal directory: every request's admission/"
         "shard/verdict/terminal transition is journaled as it happens, "
         "and a restart replays the journal to restore the request table "
-        "(requests that died in flight surface as 'interrupted'); also "
-        "arms flight-recorder crash-*.json postmortems there",
+        "(requests that died in flight surface as 'interrupted'); an "
+        "uncaught exception is journaled as a crash record",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -1670,8 +1670,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_diff = sub.add_parser(
         "trace-diff",
-        help="structurally diff two exported runs (Chrome trace, profile "
-        "snapshot, or journal), worst divergence first",
+        help="structurally diff two runs (Chrome trace, Snapshot "
+        "document, journal directory or segment), worst divergence first",
     )
     trace_diff.add_argument("run_a", metavar="A.json")
     trace_diff.add_argument("run_b", metavar="B.json")
@@ -1696,7 +1696,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--trace", metavar="FILE.json",
-        help="Chrome trace_event file to render as a span waterfall",
+        help="the run to render: a Chrome trace_event file, a Snapshot "
+        "document, or a journal directory or segment",
     )
     report.add_argument(
         "--log", metavar="FILE.jsonl",

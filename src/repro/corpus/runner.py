@@ -50,6 +50,7 @@ import shutil
 import signal
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
@@ -97,6 +98,9 @@ EventSink = Callable[[str, Dict[str, Any]], None]
 
 #: Seconds between ``progress`` records while workers are busy.
 HEARTBEAT_S = 1.0
+
+#: How often a pool worker checks that its parent is still alive.
+PARENT_POLL_S = 0.5
 
 
 def journal_sink(journal: Any) -> EventSink:
@@ -214,9 +218,30 @@ class ProgressReporter:
             self._line_open = False
 
 
+def _exit_with_parent() -> None:
+    """Initializer of every pool worker: exit as soon as the process
+    that started the pool is gone.
+
+    A parent killed by SIGKILL cannot stop its workers, and a worker
+    idle on the call queue, or asleep in a job, would otherwise live on
+    with PPID 1 and hold the parent's stdout open.  A daemon thread
+    polls :func:`os.getppid` every :data:`PARENT_POLL_S` seconds and
+    ends the worker when its parent changes.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
 def _pool_worker_signals() -> None:
     """Initializer of :class:`WorkerPool` workers: SIGTERM kills them
-    and SIGINT is ignored.
+    and SIGINT is ignored, and they exit with their parent
+    (:func:`_exit_with_parent`).
 
     Workers are forked after ``repro serve`` has routed SIGINT/SIGTERM
     into its event loop, and inherited, those handlers would swallow
@@ -226,6 +251,7 @@ def _pool_worker_signals() -> None:
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _exit_with_parent()
 
 
 class WorkerPool:
@@ -945,7 +971,9 @@ def _execute_pending(
     if pool is not None:
         executor = pool.executor
     else:
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_parent
+        )
     futures: Dict[Any, Tuple[JobSpec, Optional[str], Optional[str]]] = {}
     first_running: Dict[Any, float] = {}
     stalled: set = set()

@@ -22,6 +22,7 @@ import tempfile
 import time
 from typing import Any, Dict
 
+from ..obs.export import STATUS_KIND
 from ..obs.metrics import Histogram
 
 __all__ = [
@@ -31,9 +32,6 @@ __all__ = [
     "write_status_file",
     "read_status_file",
 ]
-
-#: The ``kind`` header identifying a batch status file.
-STATUS_KIND = "repro-batch-status"
 
 #: Default status-file name, created inside the corpus directory.
 STATUS_BASENAME = ".repro-status.json"

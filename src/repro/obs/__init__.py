@@ -21,8 +21,10 @@ blow-up.  This package makes that growth observable:
 * ``obs.Journal`` / ``obs.replay_journal`` — the crash-safe on-disk
   event journal (see :mod:`repro.obs.journal`) behind ``serve
   --journal-dir``, ``batch --journal`` and ``python -m repro
-  journal``, with :mod:`repro.obs.flight` holding the in-memory
-  flight recorder dumped to ``crash-*.json`` postmortems.
+  journal``, which also records an uncaught exception as a ``crash``;
+* ``obs.sniff_artifact`` / ``obs.read_run`` — the one reader: it names
+  any file the repo writes, and reads a Chrome trace, a Snapshot
+  document or a journal back into a ``Snapshot``.
 
 Nothing records unless a recorder is installed::
 
@@ -40,7 +42,7 @@ CLI surface: ``python -m repro profile TDX SCHEMA`` and the
 ``--trace FILE`` / ``--stats`` flags on ``check`` and ``lint``.
 """
 
-from . import attr, diff, flight
+from . import attr, diff
 from .attr import (
     AttributionRow,
     AttributionTable,
@@ -49,7 +51,9 @@ from .attr import (
     render_attribution,
 )
 from .export import (
+    read_run,
     render_text,
+    sniff_artifact,
     span_from_dict,
     span_to_dict,
     spans_from_chrome_trace,
@@ -80,12 +84,10 @@ from .diff import (
     RunProfile,
     SpanStat,
     diff_profiles,
-    load_run_profile,
-    profile_from_payload,
     profile_from_recorder,
+    profile_from_snapshot,
     render_diff,
 )
-from .flight import FlightRecorder
 from .journal import (
     JOURNAL_KIND,
     Journal,
@@ -103,7 +105,6 @@ from .metrics import (
     Histogram,
     metric_family_name,
     render_openmetrics,
-    sniff_jsonl_kind,
     validate_openmetrics,
 )
 from .recorder import (
@@ -131,8 +132,6 @@ from .snapshot import (
 __all__ = [
     "attr",
     "diff",
-    "flight",
-    "FlightRecorder",
     "JOURNAL_KIND",
     "Journal",
     "JournalRecord",
@@ -154,9 +153,8 @@ __all__ = [
     "RunProfile",
     "SpanStat",
     "diff_profiles",
-    "load_run_profile",
-    "profile_from_payload",
     "profile_from_recorder",
+    "profile_from_snapshot",
     "render_diff",
     "LabelKey",
     "label_key",
@@ -178,7 +176,6 @@ __all__ = [
     "render_openmetrics",
     "validate_openmetrics",
     "metric_family_name",
-    "sniff_jsonl_kind",
     "NULL_SPAN",
     "render_text",
     "span_to_dict",
@@ -186,6 +183,8 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "spans_from_chrome_trace",
+    "sniff_artifact",
+    "read_run",
     "DEBUG",
     "INFO",
     "WARNING",

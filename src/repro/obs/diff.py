@@ -13,22 +13,23 @@ first,
 * attribution deltas from the labeled registry — *which rule / pass /
   formula node* the counter delta is concentrated in.
 
-Inputs are whatever the repo already exports: a Chrome trace written
-by ``--trace``, a ``repro profile --json`` / ``Snapshot.to_dict``
-document, or a crash-safe journal.  :func:`load_run_profile` sniffs the
-format.
+A profile is built from a :class:`~repro.obs.snapshot.Snapshot`, so
+``trace-diff`` takes whatever :func:`repro.obs.export.read_run` reads:
+a Chrome trace written by ``--trace``, a ``Snapshot.to_dict`` document
+(such as the serve ``trace`` op's ``fields.snapshot``), or a journal
+directory or segment.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .attr import format_label_key
+from .export import span_from_dict
 from .recorder import LabelKey, Recorder, Span
-from .snapshot import labeled_from_jsonable, merge_labeled
+from .snapshot import Snapshot
 
 __all__ = [
     "SpanStat",
@@ -36,9 +37,7 @@ __all__ = [
     "ProfileDelta",
     "ProfileDiff",
     "profile_from_recorder",
-    "profile_from_spans",
-    "profile_from_payload",
-    "load_run_profile",
+    "profile_from_snapshot",
     "diff_profiles",
     "render_diff",
 ]
@@ -77,134 +76,21 @@ def _walk_spans(profile: RunProfile, span: Span, prefix: str) -> None:
         _walk_spans(profile, child, path)
 
 
-def profile_from_spans(spans: List[Span], label: str = "") -> RunProfile:
+def profile_from_snapshot(snapshot: Snapshot, label: str = "") -> RunProfile:
+    """One run's comparable shape, from its :class:`Snapshot`."""
     profile = RunProfile(label=label)
-    for root in spans:
-        _walk_spans(profile, root, "")
+    for root in snapshot.spans:
+        _walk_spans(profile, span_from_dict(root), "")
+    profile.counters = dict(snapshot.counters)
+    profile.gauges = dict(snapshot.gauges)
+    profile.labeled = {
+        name: dict(by_key) for name, by_key in snapshot.labeled.items()
+    }
     return profile
 
 
 def profile_from_recorder(recorder: Recorder, label: str = "") -> RunProfile:
-    profile = profile_from_spans(recorder.spans, label=label)
-    profile.counters = dict(recorder.counters)
-    profile.gauges = dict(recorder.gauges)
-    profile.labeled = {
-        name: dict(by_key) for name, by_key in recorder.labeled.items()
-    }
-    return profile
-
-
-def _profile_from_chrome(payload: Mapping[str, Any], label: str) -> RunProfile:
-    from .export import spans_from_chrome_trace
-
-    profile = profile_from_spans(
-        spans_from_chrome_trace(dict(payload)), label=label
-    )
-    for event in payload.get("traceEvents", ()):
-        phase = event.get("ph")
-        if phase == "C":
-            profile.counters[str(event["name"])] = float(
-                event.get("args", {}).get("value", 0)
-            )
-        elif phase == "M" and event.get("name") == "repro_labeled":
-            merge_labeled(
-                profile.labeled,
-                labeled_from_jsonable(event.get("args", {}).get("labeled", {})),
-            )
-    return profile
-
-
-def profile_from_payload(payload: Mapping[str, Any], label: str = "") -> RunProfile:
-    """Build a profile from any exported-run JSON document the repo
-    writes (Chrome trace, profile/Snapshot document)."""
-    from .export import span_from_dict
-
-    if "traceEvents" in payload:
-        return _profile_from_chrome(payload, label)
-    # A ``repro profile`` export / Snapshot.to_dict document.
-    profile = profile_from_spans(
-        [span_from_dict(dict(span)) for span in payload.get("spans", ())],
-        label=label,
-    )
-    profile.counters = {
-        str(k): float(v) for k, v in (payload.get("counters") or {}).items()
-    }
-    profile.gauges = {
-        str(k): float(v) for k, v in (payload.get("gauges") or {}).items()
-    }
-    profile.labeled = labeled_from_jsonable(payload.get("labeled") or {})
-    return profile
-
-
-def load_run_profile(path: str, label: str = "") -> RunProfile:
-    """Read and sniff one exported-run artifact.
-
-    Accepts a Chrome trace, a profile/Snapshot export, or a crash-safe
-    journal (a ``serve --journal-dir`` / ``batch --journal`` directory,
-    or one segment file) — a journal is replayed through
-    :func:`repro.obs.journal.replay_journal` and its merged Snapshot
-    profiled, so ``trace-diff`` can compare a dead process's run
-    against a live trace.  Anything else — notably the
-    observability layer's *own* line-oriented artifacts (a ``--log``
-    JSONL, a batch status file) —
-    raises a ValueError naming what the file actually is and what
-    formats are expected, instead of a JSON-decode traceback."""
-    if os.path.isdir(path):
-        return _profile_from_journal(path, label)
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        from .metrics import sniff_jsonl_kind
-
-        if sniff_jsonl_kind(text) == "obs-journal":
-            return _profile_from_journal(path, label)
-        raise ValueError(
-            "%s: %s" % (path, _describe_non_profile(text))
-        ) from None
-    if not isinstance(payload, dict):
-        raise ValueError("%s: not a JSON object" % path)
-    return profile_from_payload(payload, label=label or path)
-
-
-def _profile_from_journal(path: str, label: str = "") -> RunProfile:
-    """Replay a journal and profile its merged Snapshot."""
-    from .journal import replay_journal
-
-    replay = replay_journal(path)
-    payload = replay.snapshot.to_dict()
-    return profile_from_payload(payload, label=label or path)
-
-
-def _describe_non_profile(text: str) -> str:
-    """Why a non-JSON file is not a run profile, by sniffing."""
-    from .metrics import sniff_jsonl_kind
-
-    expected = "expected a Chrome trace or a profile/Snapshot export"
-    kind = sniff_jsonl_kind(text)
-    if kind is not None:
-        return "this is a %r JSONL artifact, not a run profile; %s" % (
-            kind, expected,
-        )
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        first = stripped.splitlines()[0] if stripped.splitlines() else ""
-        try:
-            json.loads(first)
-        except ValueError:
-            pass
-        else:
-            return (
-                "this looks like line-oriented JSONL (e.g. a --log "
-                "file), not a run profile; %s" % expected
-            )
-    if stripped.startswith("# TYPE ") or stripped.startswith("# HELP "):
-        return (
-            "this looks like an OpenMetrics exposition (--metrics "
-            "output), not a run profile; %s" % expected
-        )
-    return "not valid JSON; %s" % expected
+    return profile_from_snapshot(Snapshot.from_recorder(recorder), label)
 
 
 # ---------------------------------------------------------------------------

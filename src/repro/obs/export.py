@@ -16,22 +16,37 @@ whenever present — the same ids structured log events reference — so a
 ``--log`` JSONL line joins against a ``--trace`` file by ``span_id``.
 Buffered log events export as Chrome instant (``"i"``) events on the
 span timeline.
+
+The way back, for every command that reads artifacts: :func:`sniff_artifact`
+names any file this program writes, so a file of the wrong kind is
+rejected by name, and :func:`read_run` turns a Chrome trace, a
+:class:`~repro.obs.snapshot.Snapshot` document or a journal into one
+Snapshot.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import os
+from typing import Any, Dict, List, Optional, Sequence
 
+from .journal import JOURNAL_KIND, journal_segments, replay_journal
+from .metrics import histograms_from_jsonable
 from .recorder import Recorder, Span
+from .snapshot import Snapshot, labeled_from_jsonable, labeled_to_jsonable
 
 __all__ = [
+    "ARTIFACTS",
+    "RUN_KINDS",
+    "STATUS_KIND",
     "render_text",
     "span_to_dict",
     "span_from_dict",
     "to_chrome_trace",
     "write_chrome_trace",
     "spans_from_chrome_trace",
+    "sniff_artifact",
+    "read_run",
 ]
 
 
@@ -224,8 +239,6 @@ def to_chrome_trace(recorder: Recorder, process_name: str = "repro") -> Dict[str
             }
         )
     if recorder.labeled:
-        from .snapshot import labeled_to_jsonable
-
         # The attribution registry rides as one metadata event, so a
         # ``--trace`` file is a complete ``trace-diff`` input; viewers
         # that don't know the name ignore metadata events.
@@ -270,29 +283,140 @@ def write_chrome_trace(recorder: Recorder, path: str, process_name: str = "repro
 
 
 def spans_from_chrome_trace(payload: Dict[str, Any]) -> List[Span]:
-    """Rebuild the span forest from :func:`to_chrome_trace` output
-    (the ``id``/``parent`` args carry the tree; counters are ignored)."""
-    by_id: Dict[int, Span] = {}
-    roots: List[Span] = []
-    parents: List[Dict[str, Any]] = []
-    for event in payload.get("traceEvents", ()):
-        if event.get("ph") != "X":
-            continue
-        args = dict(event.get("args", {}))
-        span_id = args.pop("id")
-        parent_id = args.pop("parent", None)
-        start_ns = int(round(event["ts"] * 1e3))
-        span = Span(event["name"], start_ns=start_ns)
-        span.end_ns = start_ns + int(round(event["dur"] * 1e3))
-        span.span_id = span_id
-        span.parent_id = parent_id
-        span.attrs = args
-        by_id[span_id] = span
-        parents.append({"id": span_id, "parent": parent_id})
-    for link in parents:
-        span = by_id[link["id"]]
-        if link["parent"] is None:
-            roots.append(span)
+    """The span forest of a :func:`to_chrome_trace` document."""
+    return [span_from_dict(root) for root in _chrome_trace_snapshot(payload).spans]
+
+
+# ---------------------------------------------------------------------------
+# Reading artifacts back
+# ---------------------------------------------------------------------------
+
+#: The artifacts :func:`sniff_artifact` recognizes, by kind.
+ARTIFACTS = {
+    "chrome-trace": "a Chrome trace",
+    "snapshot": "a Snapshot document",
+    "journal": "a journal",
+    "log": "a --log JSONL file",
+    "corpus": "a corpus JSONL report",
+    "status": "a batch/serve status file",
+    "job": "a check --format json job object",
+    "openmetrics": "an OpenMetrics exposition",
+}
+
+#: The kinds :func:`read_run` turns into a Snapshot.
+RUN_KINDS = ("chrome-trace", "snapshot", "journal")
+
+#: The ``kind`` header of the batch and serve status files.
+STATUS_KIND = "repro-batch-status"
+
+
+def _sniff(path: str) -> Optional[str]:
+    if os.path.isdir(path):
+        return "journal" if journal_segments(path) else None
+    try:
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            text = handle.read()
+    except FileNotFoundError:
+        raise ValueError("%s: does not exist" % path) from None
+    except OSError as error:
+        raise ValueError("%s: %s" % (path, error.strerror or error)) from None
+    head = text.lstrip()
+    if not head:  # a --log run that recorded no events
+        return "log"
+    if head.startswith(("# HELP ", "# TYPE ")):
+        return "openmetrics"
+    try:
+        payload, whole = json.loads(text), True
+    except ValueError:
+        try:  # line-oriented JSON: the first line names the file
+            payload, whole = json.loads(head.split("\n", 1)[0]), False
+        except ValueError:
+            return None
+    if not isinstance(payload, dict):
+        return None
+    if payload.get("kind") == JOURNAL_KIND:
+        return "journal"
+    if payload.get("kind") == STATUS_KIND:
+        return "status"
+    if "traceEvents" in payload:
+        return "chrome-trace"
+    if {"counters", "gauges", "wall_time_ns"} <= payload.keys():
+        return "snapshot"
+    if "job_id" in payload:
+        return "job" if whole else "corpus"
+    if "summary" in payload:
+        return "corpus"
+    if {"level", "logger", "message"} <= payload.keys():
+        return "log"
+    return None
+
+
+def sniff_artifact(path: str, expected: Sequence[str] = ()) -> Optional[str]:
+    """The kind of artifact at ``path``: a key of :data:`ARTIFACTS`, or
+    ``None`` for any other file (a transducer, a schema, a document)
+    and for a directory without journal segments.
+
+    A path that cannot be read raises ``ValueError("PATH: ...")``, and
+    so, when ``expected`` kinds are given, does any other kind: the
+    message names the path, what it is and what was expected.
+    """
+    kind = _sniff(path)
+    if expected and kind not in expected:
+        if kind is not None:
+            found = "this is " + ARTIFACTS[kind]
+        elif os.path.isdir(path):
+            found = "a directory without journal segments"
         else:
-            by_id[link["parent"]].children.append(span)
-    return roots
+            found = "not a known artifact"
+        wanted = " or ".join(ARTIFACTS[name] for name in expected)
+        raise ValueError("%s: %s; expected %s" % (path, found, wanted))
+    return kind
+
+
+def read_run(path: str) -> Snapshot:
+    """The run at ``path`` — a Chrome trace, a Snapshot document, or a
+    journal directory or segment (its snapshots merged) — as one
+    :class:`Snapshot`; anything else raises ``ValueError``."""
+    kind = sniff_artifact(path, RUN_KINDS)
+    if kind == "journal":
+        return replay_journal(path).snapshot
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if kind == "snapshot":
+            return Snapshot.from_dict(payload)
+        return _chrome_trace_snapshot(payload)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError("%s: malformed %s (%s: %s)" % (
+            path, kind, type(error).__name__, error)) from None
+
+
+def _chrome_trace_snapshot(payload: Dict[str, Any]) -> Snapshot:
+    """What a :func:`to_chrome_trace` document holds (not gauges)."""
+    snapshot = Snapshot()
+    spans: Dict[Any, Dict[str, Any]] = {}
+    for event in payload.get("traceEvents", ()):
+        phase = event.get("ph")
+        args = dict(event.get("args") or {})
+        if phase == "X":
+            span_id = args.pop("id")
+            spans[span_id] = {
+                "name": event["name"], "id": span_id,
+                "parent": args.pop("parent", None),
+                "start_ns": int(round(event["ts"] * 1e3)),
+                "duration_ns": int(round(event["dur"] * 1e3)),
+                "attrs": args, "children": [],
+            }
+        elif phase == "C" and "value" in args:
+            snapshot.counters[str(event["name"])] = float(args["value"])
+        elif phase == "i":
+            snapshot.events.append(args)
+        elif phase == "M" and event.get("name") == "repro_labeled":
+            snapshot.labeled = labeled_from_jsonable(args.get("labeled", {}))
+        elif phase == "M" and event.get("name") == "repro_histograms":
+            snapshot.histograms = histograms_from_jsonable(args.get("histograms", {}))
+    for span in spans.values():
+        parent = span["parent"]
+        (snapshot.spans if parent is None else spans[parent]["children"]).append(span)
+    snapshot.wall_time_ns = sum(root["duration_ns"] for root in snapshot.spans)
+    return snapshot

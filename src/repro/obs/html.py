@@ -1,14 +1,19 @@
 """Self-contained HTML observability report (``python -m repro report``).
 
 One static HTML file — no scripts, no external URLs, no dependencies —
-that a CI run can attach as an artifact and a human can open anywhere:
+that a CI run can attach as an artifact and a human can open anywhere.
+:func:`render_report_html` draws it from one run's
+:class:`~repro.obs.snapshot.Snapshot`, for ``report`` (which reads runs
+with :func:`repro.obs.export.read_run`), ``journal replay --html`` and
+the serve daemon's ``GET /trace/<request-id>`` alike:
 
-* **span waterfall** from a Chrome ``--trace`` file (the recorder's own
-  span ids shown, so ``--log`` lines join against the rows);
-* **counter / gauge tables** from the same trace;
-* **work attribution** from the trace's labeled-counter registry (the
-  ``repro_labeled`` metadata event): per-counter hot-rule tables with
-  coverage shares, the HTML twin of ``python -m repro explain``;
+* **span waterfall** (the recorder's own span ids shown, so ``--log``
+  lines join against the rows);
+* **counter table** and **latency distributions** from the run's
+  registries;
+* **work attribution** from the run's labeled-counter registry:
+  per-counter hot-rule tables with coverage shares, the HTML twin of
+  ``python -m repro explain``;
 * **trace diff** against a second (baseline) trace when
   ``--baseline-trace`` is given — span/counter/attribution deltas,
   worst divergence first, the HTML twin of ``python -m repro
@@ -33,10 +38,15 @@ import html as _html
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .export import spans_from_chrome_trace
-from .recorder import Span
+from .attr import attribution_tables, format_label_key
+from .diff import ProfileDiff, diff_profiles, profile_from_snapshot
+from .export import read_run, sniff_artifact, span_from_dict
+from .journal import replay_journal
+from .metrics import Histogram, bucket_upper_bound
+from .recorder import LabelKey, Span
+from .snapshot import Snapshot
 
-__all__ = ["build_report", "render_report_html", "snapshot_report"]
+__all__ = ["build_report", "render_report_html"]
 
 #: Row caps per section — the artifact must stay well under 1 MB.
 MAX_WATERFALL_ROWS = 400
@@ -178,14 +188,13 @@ def _flatten(spans: Sequence[Span]) -> List[Tuple[int, Span]]:
     return rows
 
 
-def _section_waterfall(trace: Optional[Dict[str, Any]]) -> str:
-    if trace is None:
+def _section_waterfall(snapshot: Optional[Snapshot]) -> str:
+    if snapshot is None:
         return _placeholder(
             "No trace supplied — pass --trace FILE.json "
             "(written by any command's --trace flag)."
         )
-    spans = spans_from_chrome_trace(trace)
-    rows = _flatten(spans)
+    rows = _flatten([span_from_dict(root) for root in snapshot.spans])
     if not rows:
         return _placeholder("The trace contains no spans.")
     origin = min(span.start_ns for _, span in rows)
@@ -224,18 +233,6 @@ def _section_waterfall(trace: Optional[Dict[str, Any]]) -> str:
     return "".join(out)
 
 
-def _trace_counters(trace: Optional[Dict[str, Any]]) -> Dict[str, float]:
-    counters: Dict[str, float] = {}
-    if trace is None:
-        return counters
-    for event in trace.get("traceEvents", ()):
-        if event.get("ph") == "C":
-            args = event.get("args", {})
-            if "value" in args:
-                counters[event["name"]] = args["value"]
-    return counters
-
-
 def _section_counters(counters: Dict[str, float]) -> str:
     if not counters:
         return _placeholder("No counters recorded in the trace.")
@@ -250,21 +247,7 @@ def _section_counters(counters: Dict[str, float]) -> str:
     )
 
 
-def _trace_histograms(trace: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """The distribution registry a Chrome trace carries in its
-    ``repro_histograms`` metadata event (empty for older traces)."""
-    if trace is None:
-        return {}
-    from .metrics import histograms_from_jsonable
-
-    for event in trace.get("traceEvents", ()):
-        if event.get("ph") == "M" and event.get("name") == "repro_histograms":
-            args = event.get("args") or {}
-            return histograms_from_jsonable(args.get("histograms", {}))
-    return {}
-
-
-def _section_histograms(histograms: Dict[str, Any]) -> str:
+def _section_histograms(histograms: Dict[str, Histogram]) -> str:
     """Latency/size distributions: one row per metric with the p50/p90/
     p99/max summary and a bar strip over the log2 buckets."""
     if not histograms:
@@ -272,8 +255,6 @@ def _section_histograms(histograms: Dict[str, Any]) -> str:
             "No distributions recorded in the trace (the run predates "
             "histogram metrics, or no instrumented path executed)."
         )
-    from .metrics import bucket_upper_bound
-
     rows = []
     for name in sorted(histograms):
         histogram = histograms[name]
@@ -304,30 +285,14 @@ def _section_histograms(histograms: Dict[str, Any]) -> str:
     )
 
 
-def _trace_labeled(trace: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """The labeled-counter registry a Chrome trace carries in its
-    ``repro_labeled`` metadata event (empty for pre-v3 traces)."""
-    if trace is None:
-        return {}
-    from .snapshot import labeled_from_jsonable
-
-    for event in trace.get("traceEvents", ()):
-        if event.get("ph") == "M" and event.get("name") == "repro_labeled":
-            args = event.get("args") or {}
-            return labeled_from_jsonable(args.get("labeled", {}))
-    return {}
-
-
 def _section_attribution(
-    counters: Dict[str, float], labeled: Dict[str, Any]
+    counters: Dict[str, float], labeled: Dict[str, Dict[LabelKey, float]]
 ) -> str:
     if not labeled:
         return _placeholder(
             "No labeled counters in the trace — attribution is recorded "
             "by instrumented runs (check/lint/profile/batch --trace)."
         )
-    from .attr import attribution_tables, format_label_key
-
     out: List[str] = []
     for table in attribution_tables(counters, labeled, top=8):
         out.append(
@@ -371,7 +336,7 @@ def _fmt_delta_value(value: Optional[float], unit: str) -> str:
     return _fmt_num(value)
 
 
-def _section_trace_diff(diff: Optional[Any], limit: int = 15) -> str:
+def _section_trace_diff(diff: Optional[ProfileDiff], limit: int = 15) -> str:
     if diff is None:
         return _placeholder(
             "No baseline supplied — pass --baseline-trace FILE.json "
@@ -518,25 +483,24 @@ def _section_corpus(corpus: Optional[Dict[str, Any]]) -> str:
 
 
 def render_report_html(
+    snapshot: Optional[Snapshot] = None,
     *,
-    trace: Optional[Dict[str, Any]] = None,
     log_events: Optional[List[Dict[str, Any]]] = None,
     corpus: Optional[Dict[str, Any]] = None,
-    diff: Optional[Any] = None,
+    diff: Optional[ProfileDiff] = None,
     title: str = "repro observability report",
     generated: str = "",
 ) -> str:
-    """Assemble the full document from already-loaded inputs (each
-    ``None`` input renders as an explicit placeholder).  ``diff`` is a
-    :class:`repro.obs.diff.ProfileDiff` against a baseline run."""
+    """The document for one run (each ``None`` input renders as a
+    placeholder): ``log_events`` are LogEvent dicts, ``corpus`` is
+    ``{"jobs": [...], "summary": {...}}`` and ``diff`` compares the run
+    against a baseline."""
+    run = snapshot or Snapshot()
     sections = [
-        ("Span waterfall", _section_waterfall(trace)),
-        ("Counters", _section_counters(_trace_counters(trace))),
-        ("Latency distributions", _section_histograms(_trace_histograms(trace))),
-        (
-            "Work attribution",
-            _section_attribution(_trace_counters(trace), _trace_labeled(trace)),
-        ),
+        ("Span waterfall", _section_waterfall(snapshot)),
+        ("Counters", _section_counters(run.counters)),
+        ("Latency distributions", _section_histograms(run.histograms)),
+        ("Work attribution", _section_attribution(run.counters, run.labeled)),
         ("Trace diff vs baseline", _section_trace_diff(diff)),
         ("Structured log", _section_log(log_events)),
         ("Latest corpus audit", _section_corpus(corpus)),
@@ -560,52 +524,14 @@ def render_report_html(
     )
 
 
-def snapshot_report(
-    snapshot: Any,
-    *,
-    corpus: Optional[Dict[str, Any]] = None,
-    title: str = "repro observability report",
-    generated: str = "",
-) -> str:
-    """Render the report straight from an in-memory
-    :class:`repro.obs.Snapshot` — the ``repro.serve`` daemon's
-    ``GET /trace/<request-id>`` artifact, no files involved.  The
-    snapshot is replayed into a throwaway recorder (so events and
-    spans keep their id joins) and exported exactly like a ``--trace``
-    file; ``corpus`` is the request's ``{"jobs": [...], "summary":
-    {...}}`` document for the verdict section."""
-    from .export import to_chrome_trace
-    from .log import DEBUG, events_to_dicts
-    from .recorder import Recorder
-
-    recorder = Recorder(log_level=DEBUG)
-    snapshot.merge_into(recorder)
-    return render_report_html(
-        trace=to_chrome_trace(recorder),
-        log_events=events_to_dicts(recorder),
-        corpus=corpus,
-        diff=None,
-        title=title,
-        generated=generated,
-    )
-
-
-def _load_corpus_jsonl(path: str) -> Dict[str, Any]:
-    """A ``batch --format json`` JSONL report: job objects, then a
-    ``{"summary": ...}`` trailer."""
-    jobs: List[Dict[str, Any]] = []
-    summary: Dict[str, Any] = {}
+def _read_jsonl(path: str, kind: str) -> List[Dict[str, Any]]:
+    """The objects of a JSONL artifact that must be of ``kind``."""
+    sniff_artifact(path, (kind,))
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            if "summary" in payload and "job_id" not in payload:
-                summary = payload["summary"]
-            else:
-                jobs.append(payload)
-    return {"jobs": jobs, "summary": summary}
+        try:
+            return [json.loads(line) for line in handle if line.strip()]
+        except ValueError as error:
+            raise ValueError("%s: %s" % (path, error)) from None
 
 
 def build_report(
@@ -618,62 +544,55 @@ def build_report(
     title: str = "repro observability report",
     generated: str = "",
 ) -> str:
-    """Load every available input from disk and render the document.
+    """Load every named input and render the document (an input not
+    named renders its placeholder).
 
-    A named file that does not exist raises ``OSError`` (the caller
-    asked for it, so silence would lie); an input not named renders its
-    placeholder.  ``baseline_trace_path`` (requires ``trace_path`` or
-    ``journal_path``) adds the trace diff section against that
-    reference run.
-
-    ``journal_path`` names a crash-safe journal (directory or one
-    segment); its replayed Snapshot supplies the trace, log events,
-    and corpus section — the postmortem path, rendering a dead
-    process's run with zero live state.  Mutually exclusive with
-    ``trace_path``/``log_path``/``corpus_path``.
+    Each input goes through :func:`repro.obs.export.sniff_artifact`, so
+    a missing file or one of the wrong kind raises ``ValueError("PATH:
+    ...")``.  ``trace_path`` and ``baseline_trace_path`` (which adds the
+    trace diff section) take any run :func:`repro.obs.export.read_run`
+    reads; ``log_path`` is a ``--log`` JSONL file, ``corpus_path`` a
+    ``batch --format json`` report.  ``journal_path`` replaces the
+    other three: the journal's replay supplies the run, its log events
+    and the corpus section — a dead process's report from the journal
+    alone.
     """
-    trace = None
-    log_events = None
-    corpus = None
+    snapshot: Optional[Snapshot] = None
+    log_events: Optional[List[Dict[str, Any]]] = None
+    corpus: Optional[Dict[str, Any]] = None
     if journal_path:
         if trace_path or log_path or corpus_path:
             raise ValueError(
                 "--journal replaces --trace/--log/--corpus: the journal "
                 "replay supplies all three"
             )
-        from .export import to_chrome_trace
-        from .journal import replay_journal
-        from .log import events_to_dicts
-
+        sniff_artifact(journal_path, ("journal",))
         replay = replay_journal(journal_path)
-        recorder = replay.to_recorder()
-        trace = to_chrome_trace(recorder)
-        log_events = events_to_dicts(recorder)
+        snapshot = replay.snapshot
+        log_events = snapshot.events
         corpus = replay.corpus_doc()
     if trace_path:
-        with open(trace_path, encoding="utf-8") as handle:
-            trace = json.load(handle)
+        snapshot = read_run(trace_path)
     if log_path:
-        with open(log_path, encoding="utf-8") as handle:
-            log_events = [
-                json.loads(line)
-                for line in handle
-                if line.strip()
-            ]
+        log_events = _read_jsonl(log_path, "log")
     if corpus_path:
-        corpus = _load_corpus_jsonl(corpus_path)
+        corpus = {"jobs": [], "summary": {}}
+        for payload in _read_jsonl(corpus_path, "corpus"):
+            if "summary" in payload and "job_id" not in payload:
+                corpus["summary"] = payload["summary"]
+            else:
+                corpus["jobs"].append(payload)
     diff = None
     if baseline_trace_path:
-        if trace is None:
+        if snapshot is None:
             raise ValueError("--baseline-trace needs --trace to diff against")
-        from .diff import diff_profiles, load_run_profile, profile_from_payload
-
         diff = diff_profiles(
-            load_run_profile(baseline_trace_path),
-            profile_from_payload(trace, label=trace_path or "candidate"),
+            profile_from_snapshot(read_run(baseline_trace_path),
+                                  label=baseline_trace_path),
+            profile_from_snapshot(snapshot, label=trace_path or "candidate"),
         )
     return render_report_html(
-        trace=trace,
+        snapshot,
         log_events=log_events,
         corpus=corpus,
         diff=diff,

@@ -16,8 +16,8 @@ JSONL artifact: the first line is a header
 
     {"kind": "obs-journal", "version": 1, "segment": 1, "created": ...}
 
-(so :func:`repro.obs.sniff_jsonl_kind` identifies segments like every
-other artifact in the repo), and every subsequent line is one framed
+(so :func:`repro.obs.export.sniff_artifact` identifies segments like
+every other artifact in the repo), and every subsequent line is one framed
 record::
 
     {"seq": 17, "ts": 1754640000.123, "type": "request",
@@ -35,8 +35,6 @@ Record vocabulary (the ``type`` field):
 
 ``meta``
     writer lifecycle — journal opened, recovery performed, shutdown.
-``event``
-    one :class:`repro.obs.LogEvent` dict (the wire/log shape).
 ``request``
     one serve request lifecycle phase: ``data`` carries
     ``request_id``, ``phase`` (``admitted``/``started``/``shard``/
@@ -54,17 +52,25 @@ Record vocabulary (the ``type`` field):
     same merge machinery live reporting uses.
 ``run``
     batch-run lifecycle (``begin``/``finish`` with the summary).
+``crash``
+    an uncaught exception: ``type``, ``message``, ``traceback``, every
+    thread's stack (``stacks``, a :mod:`faulthandler` dump), ``pid``
+    and ``argv``.  While open, a journal chains ``sys.excepthook`` to
+    append this record and sync; for fatal signals, which run no Python
+    code, it points :mod:`faulthandler` at a pre-opened
+    ``crash-stacks-<pid>.txt`` in the journal directory.
+    :meth:`Journal.close` restores the previous hook and faulthandler
+    state.  SIGKILL is left to torn-tail recovery.
 
-Fsync policy
-------------
+Durability
+----------
 
-``fsync="always"`` fsyncs after every record (maximum durability, one
-syscall per event); ``"interval"`` (the default) flushes every record
-to the OS but fsyncs only when ``fsync_interval`` seconds have passed
-or ``fsync_batch`` records are pending — a crash can lose at most that
-window; ``"never"`` leaves durability to the OS page cache (rotation
-and close still fsync).  :meth:`Journal.lag` reports the records not
-yet fsynced — surfaced in ``repro top`` as journal lag.
+Every record is flushed to the OS as it is written.  An append fsyncs
+once :data:`FSYNC_INTERVAL_S` seconds have passed or :data:`FSYNC_BATCH`
+records are pending, and rotation and close always do, so the records
+before an idle stretch wait for the next append; :meth:`Journal.lag`
+counts the unsynced ones (``repro top``'s journal lag).  Segments
+rotate at :data:`SEGMENT_BYTES`, keeping the newest :data:`RETAIN_SEGMENTS`.
 
 Replay
 ------
@@ -72,26 +78,27 @@ Replay
 :func:`replay_journal` folds a journal back into the live-process
 shapes: the request table (requests whose last phase is non-terminal
 are marked ``interrupted`` — they were in flight at the crash), the
-job list, and one merged :class:`~repro.obs.Snapshot`.  From there the
-existing exporters do the rest: :meth:`JournalReplay.chrome_trace`,
-:meth:`JournalReplay.openmetrics` and :meth:`JournalReplay.html_report`
-reconstruct a dead process's trace, metrics exposition, and HTML
-report with zero live state — the ``python -m repro journal replay``
-command is a thin wrapper over them.
+job list, and one merged :class:`~repro.obs.Snapshot`, which the
+ordinary exporters and :func:`repro.obs.html.render_report_html` turn
+into a dead process's trace, metrics exposition and HTML report — the
+``python -m repro journal replay`` command.
 """
 
 from __future__ import annotations
 
+import contextlib
+import faulthandler
 import json
 import os
+import sys
+import tempfile
 import threading
 import time
+import traceback
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .log import DEBUG
-from .recorder import Recorder
 from .snapshot import Snapshot
 
 JOURNAL_KIND = "obs-journal"
@@ -103,7 +110,11 @@ SEGMENT_SUFFIX = ".jsonl"
 #: else at end-of-journal means the process died with it in flight.
 TERMINAL_PHASES = ("finished", "failed", "cancelled", "interrupted")
 
-FSYNC_POLICIES = ("always", "interval", "never")
+#: The durability constants (see the module doc).
+FSYNC_INTERVAL_S = 0.5
+FSYNC_BATCH = 64
+SEGMENT_BYTES = 8 * 1024 * 1024
+RETAIN_SEGMENTS = 16
 
 
 def _canonical(payload: Dict[str, Any]) -> str:
@@ -142,8 +153,6 @@ class SegmentInfo:
     size: int
     first_seq: Optional[int] = None
     last_seq: Optional[int] = None
-    first_ts: Optional[float] = None
-    last_ts: Optional[float] = None
 
 
 def segment_name(number: int) -> str:
@@ -219,7 +228,6 @@ def read_segment(path: str) -> Tuple[Dict[str, Any], List[JournalRecord], int]:
                 if isinstance(candidate, dict) and candidate.get("kind") == JOURNAL_KIND:
                     header = candidate
                     continue
-                # fall through: a headerless file is still readable
             record = _parse_record(line)
             if record is None:
                 corrupt += 1
@@ -243,7 +251,8 @@ def scan_journal(path: str) -> JournalScan:
 
     Records come back in ``seq`` order across segments; corrupt lines
     are counted in :attr:`JournalScan.corrupt`.  Raises ``ValueError``
-    when ``path`` names neither a journal directory nor a segment.
+    when ``path`` names neither a journal directory nor a segment (a
+    single file must start with the segment header).
     """
     if os.path.isdir(path):
         directory = path
@@ -259,6 +268,8 @@ def scan_journal(path: str) -> JournalScan:
     scan = JournalScan(directory=directory)
     for segment_path in paths:
         header, records, corrupt = read_segment(segment_path)
+        if not header and segment_path == path:
+            raise ValueError("%s: no %r header" % (path, JOURNAL_KIND))
         info = SegmentInfo(
             path=segment_path,
             segment=int(header.get("segment") or segment_number(segment_path) or 0),
@@ -269,8 +280,6 @@ def scan_journal(path: str) -> JournalScan:
         if records:
             info.first_seq = records[0].seq
             info.last_seq = records[-1].seq
-            info.first_ts = records[0].ts
-            info.last_ts = records[-1].ts
         scan.segments.append(info)
         scan.records.extend(records)
         scan.corrupt += corrupt
@@ -291,30 +300,12 @@ class Journal:
     a possibly-torn final line from a previous crash then stays
     isolated in its own segment and the new segment is clean from byte
     zero.  ``seq`` continues from the last valid record on disk, so
-    record ordering is total across process restarts.
+    record ordering is total across process restarts.  Until
+    :meth:`close` it also records crashes (see the module doc).
     """
 
-    def __init__(
-        self,
-        directory: str,
-        *,
-        fsync: str = "interval",
-        fsync_interval: float = 0.5,
-        fsync_batch: int = 64,
-        segment_bytes: int = 8 * 1024 * 1024,
-        retain_segments: int = 16,
-    ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError("fsync policy must be one of %s, not %r"
-                             % ("/".join(FSYNC_POLICIES), fsync))
-        if segment_bytes <= 0 or retain_segments <= 0:
-            raise ValueError("segment_bytes and retain_segments must be positive")
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.fsync = fsync
-        self.fsync_interval = fsync_interval
-        self.fsync_batch = fsync_batch
-        self.segment_bytes = segment_bytes
-        self.retain_segments = retain_segments
         self._lock = threading.Lock()
         self._handle: Optional[Any] = None
         self._segment = 0
@@ -325,6 +316,12 @@ class Journal:
         os.makedirs(directory, exist_ok=True)
         self._seq = self._resume_seq()
         self._open_segment(self._next_segment_number())
+        self._stacks = open(os.path.join(directory, "crash-stacks-%d.txt" % os.getpid()),
+                            "w", encoding="utf-8")
+        self._faulthandler_was_enabled = faulthandler.is_enabled()
+        faulthandler.enable(file=self._stacks, all_threads=True)
+        self._previous_excepthook = sys.excepthook
+        sys.excepthook = self._excepthook
 
     # -- internals -------------------------------------------------
 
@@ -361,15 +358,6 @@ class Journal:
         self._unsynced = 0
         self._last_sync = time.monotonic()
 
-    def _maybe_sync_locked(self) -> None:
-        if self.fsync == "always":
-            self._sync_locked()
-        elif self.fsync == "interval":
-            due = (self._unsynced >= self.fsync_batch
-                   or time.monotonic() - self._last_sync >= self.fsync_interval)
-            if due:
-                self._sync_locked()
-
     def _rotate_locked(self) -> None:
         self._sync_locked()
         assert self._handle is not None
@@ -379,12 +367,53 @@ class Journal:
 
     def _prune_locked(self) -> None:
         paths = journal_segments(self.directory)
-        while len(paths) > self.retain_segments:
+        while len(paths) > RETAIN_SEGMENTS:
             victim = paths.pop(0)
             try:
                 os.unlink(victim)
             except OSError:
                 break
+
+    def _append_locked(self, type: str, data: Dict[str, Any]) -> int:
+        if self._handle is None:
+            raise ValueError("journal is closed")
+        seq = self._seq
+        self._seq += 1
+        payload = {"seq": seq, "ts": time.time(), "type": type, "data": data}
+        payload["crc"] = record_crc(payload)
+        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        self._handle.write(line + "\n")
+        self._handle.flush()
+        self._segment_size += len(line) + 1
+        self._unsynced += 1
+        self._appended += 1
+        if (self._unsynced >= FSYNC_BATCH
+                or time.monotonic() - self._last_sync >= FSYNC_INTERVAL_S):
+            self._sync_locked()
+        if self._segment_size >= SEGMENT_BYTES:
+            self._rotate_locked()
+        return seq
+
+    def _excepthook(self, exc_type: Any, exc: BaseException, tb: Any) -> None:
+        """The chained ``sys.excepthook`` (see the module doc); never
+        raises, nor waits long on a lock another thread holds."""
+        if not issubclass(exc_type, KeyboardInterrupt) and self._lock.acquire(timeout=1.0):
+            try:
+                if self._handle is not None:
+                    self._append_locked("crash", {
+                        "type": exc_type.__name__,
+                        "message": str(exc),
+                        "traceback": "".join(traceback.format_exception(exc_type, exc, tb)),
+                        "stacks": _thread_stacks(),
+                        "pid": os.getpid(),
+                        "argv": list(sys.argv),
+                    })
+                    self._sync_locked()
+            except Exception:
+                pass
+            finally:
+                self._lock.release()
+        self._previous_excepthook(exc_type, exc, tb)
 
     # -- public API ------------------------------------------------
 
@@ -396,37 +425,12 @@ class Journal:
         :meth:`close`.
         """
         with self._lock:
-            if self._handle is None:
-                raise ValueError("journal is closed")
-            seq = self._seq
-            self._seq += 1
-            payload = {"seq": seq, "ts": time.time(), "type": type, "data": data}
-            payload["crc"] = record_crc(payload)
-            line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            self._handle.write(line + "\n")
-            if self.fsync != "never":
-                self._handle.flush()
-            self._segment_size += len(line) + 1
-            self._unsynced += 1
-            self._appended += 1
-            self._maybe_sync_locked()
-            if self._segment_size >= self.segment_bytes:
-                self._rotate_locked()
-            return seq
-
-    def append_event(self, event: Dict[str, Any]) -> int:
-        return self.append("event", event)
+            return self._append_locked(type, data)
 
     def append_snapshot(self, snapshot: Snapshot, **extra: Any) -> int:
         data: Dict[str, Any] = dict(extra)
         data["snapshot"] = snapshot.to_dict()
         return self.append("snapshot", data)
-
-    def sync(self) -> None:
-        """Force an fsync regardless of policy (drops :meth:`lag` to 0)."""
-        with self._lock:
-            if self._handle is not None:
-                self._sync_locked()
 
     def lag(self) -> int:
         """Records appended but not yet fsynced."""
@@ -443,7 +447,6 @@ class Journal:
                 "segments": len(journal_segments(self.directory)),
                 "lag": self._unsynced,
                 "records": self._appended,
-                "fsync": self.fsync,
             }
 
     def close(self) -> None:
@@ -453,12 +456,30 @@ class Journal:
             self._sync_locked()
             self._handle.close()
             self._handle = None
+        if sys.excepthook == self._excepthook:
+            sys.excepthook = self._previous_excepthook
+        faulthandler.disable()
+        if self._faulthandler_was_enabled and sys.__stderr__ is not None:
+            with contextlib.suppress(ValueError, OSError):
+                faulthandler.enable(file=sys.__stderr__, all_threads=True)
+        self._stacks.close()
 
     def __enter__(self) -> "Journal":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+def _thread_stacks() -> str:
+    """Every thread's Python stack, as :mod:`faulthandler` prints it."""
+    try:
+        with tempfile.TemporaryFile(mode="w+") as handle:
+            faulthandler.dump_traceback(file=handle, all_threads=True)
+            handle.seek(0)
+            return handle.read()
+    except Exception:
+        return ""
 
 
 # -- replay --------------------------------------------------------
@@ -490,37 +511,10 @@ class JournalReplay:
         return sorted(rid for rid, info in self.requests.items()
                       if info["state"] == "interrupted")
 
-    def to_recorder(self) -> Recorder:
-        """Graft the merged snapshot into a fresh DEBUG-level recorder
-        — the exact trick live ``snapshot_report`` uses, so every
-        exporter downstream behaves as if the process were alive."""
-        recorder = Recorder(log_level=DEBUG)
-        self.snapshot.merge_into(recorder)
-        return recorder
-
-    def chrome_trace(self) -> Dict[str, Any]:
-        from .export import to_chrome_trace
-
-        return to_chrome_trace(self.to_recorder())
-
-    def openmetrics(self) -> str:
-        from .metrics import render_openmetrics
-
-        recorder = self.to_recorder()
-        return render_openmetrics(recorder.counters, recorder.gauges,
-                                  recorder.histograms)
-
     def corpus_doc(self) -> Optional[Dict[str, Any]]:
         if not self.jobs:
             return None
         return {"jobs": list(self.jobs), "summary": dict(self.summary)}
-
-    def html_report(self, *, title: str = "journal replay",
-                    generated: str = "") -> str:
-        from .html import snapshot_report
-
-        return snapshot_report(self.snapshot, corpus=self.corpus_doc(),
-                               title=title, generated=generated)
 
 
 def replay_journal(path: str) -> JournalReplay:
@@ -530,13 +524,11 @@ def replay_journal(path: str) -> JournalReplay:
     Requests whose final journaled phase is not terminal were in
     flight when the writer died; they come back with state
     ``"interrupted"``.  Snapshot records merge through
-    :meth:`Snapshot.merge_all`; loose ``event`` records (journaled
-    before any snapshot flush) merge in as span-less log events.
+    :meth:`Snapshot.merge_all`.
     """
     scan = scan_journal(path)
     replay = JournalReplay(directory=scan.directory, records=len(scan.records),
                            corrupt=scan.corrupt, segments=scan.segments)
-    loose_events: List[Dict[str, Any]] = []
     for record in scan.records:
         data = record.data
         if record.type == "request":
@@ -567,8 +559,6 @@ def replay_journal(path: str) -> JournalReplay:
             if isinstance(payload, dict):
                 rid = str(data.get("request_id") or "")
                 replay.snapshot_dicts[rid] = payload
-        elif record.type == "event":
-            loose_events.append(dict(data))
         elif record.type == "run":
             replay.runs.append(dict(data))
             if isinstance(data.get("summary"), dict):
@@ -587,10 +577,7 @@ def replay_journal(path: str) -> JournalReplay:
             snapshots.append(Snapshot.from_dict(replay.snapshot_dicts[rid]))
         except (TypeError, ValueError, KeyError):
             replay.corrupt += 1
-    merged = Snapshot.merge_all(snapshots) if snapshots else Snapshot()
-    if loose_events:
-        merged = merged.merge(Snapshot(events=loose_events))
-    replay.snapshot = merged
+    replay.snapshot = Snapshot.merge_all(snapshots)
     return replay
 
 

@@ -22,15 +22,11 @@ regardless of ``PYTHONHASHSEED`` or insertion order.
 Exposition: :func:`render_openmetrics` writes the Prometheus /
 OpenMetrics text format (cumulative ``le`` buckets, ``_sum``/
 ``_count``, terminating ``# EOF``) and :func:`validate_openmetrics` is
-the strict parser CI runs against it.  :func:`sniff_jsonl_kind` names
-the repo's self-identifying JSON/JSONL artifacts (journal segments,
-status files) so commands can reject them by name instead of with a
-traceback.
+the strict parser CI runs against it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -45,7 +41,6 @@ __all__ = [
     "render_openmetrics",
     "validate_openmetrics",
     "metric_family_name",
-    "sniff_jsonl_kind",
     "MAX_BUCKET",
 ]
 
@@ -413,26 +408,3 @@ def validate_openmetrics(text: str) -> Dict[str, Dict[str, Any]]:
         if "%s_sum" % family not in info["samples"]:
             raise ValueError("histogram %r missing _sum" % family)
     return families
-
-
-def sniff_jsonl_kind(text: str) -> Optional[str]:
-    """The ``kind`` of a JSONL artifact's first line, if it is one
-    (``"obs-journal"`` for a journal segment file — see
-    :data:`repro.obs.journal.JOURNAL_KIND` — ``"repro-batch-status"``
-    for a status file; ``None`` for anything that is not line-wise
-    JSON objects)."""
-    first = ""
-    for line in text.splitlines():
-        if line.strip():
-            first = line.strip()
-            break
-    if not first.startswith("{"):
-        return None
-    try:
-        payload = json.loads(first)
-    except ValueError:
-        return None
-    if not isinstance(payload, dict):
-        return None
-    kind = payload.get("kind")
-    return str(kind) if isinstance(kind, str) else None

@@ -67,7 +67,6 @@ from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..obs import flight
 from ..obs.journal import Journal, replay_journal
 from ..corpus import (
     CorpusError,
@@ -273,8 +272,6 @@ class Dispatcher:
                 "phase": "interrupted",
                 "row": row,
             })
-        flight.note("serve.recovered", requests=len(replay.requests),
-                    interrupted=self.recovered_interrupted)
         self._write_status()
 
     # -- admission ---------------------------------------------------------
@@ -319,8 +316,6 @@ class Dispatcher:
             "row": request.row(),
             "payload": dict(payload),
         })
-        flight.note("serve.admitted", request_id=request.request_id,
-                    target=request.target)
         self._write_status()
         return request
 
@@ -413,8 +408,6 @@ class Dispatcher:
                 "phase": "failed",
                 "row": request.row(),
             })
-            flight.note("serve.failed", request_id=request.request_id,
-                        error=request.error)
             emit(
                 event(
                     "serve.request", "request failed", level="error",
@@ -460,8 +453,6 @@ class Dispatcher:
             "row": request.row(),
             "summary": corpus_doc["summary"],
         })
-        flight.note("serve.finished", request_id=request.request_id,
-                    state=request.state)
         message = "request cancelled" if cancelled else "request finished"
         emit(
             event(
@@ -718,13 +709,15 @@ class Dispatcher:
     def trace_html(self, request_id: str) -> Optional[str]:
         """The per-request HTML observability report (the ``GET
         /trace/<id>`` artifact CI uploads)."""
-        from ..obs import html as obs_html
+        from ..obs.html import render_report_html
 
         request = self.get(request_id)
         if request is None or request.snapshot is None:
             return None
-        return obs_html.snapshot_report(
-            obs.Snapshot.from_dict(request.snapshot),
+        snapshot = obs.Snapshot.from_dict(request.snapshot)
+        return render_report_html(
+            snapshot,
+            log_events=snapshot.events,
             corpus=request.corpus_doc,
             title="repro serve request %s" % request_id,
             generated=time.strftime(

@@ -36,7 +36,6 @@ import sys
 import time
 from typing import Any, Dict, Optional
 
-from ..obs import flight
 from ..obs.journal import Journal
 from .dispatcher import BusyError, Dispatcher
 from .protocol import (
@@ -101,12 +100,9 @@ class _Server:
         self.options = options
         journal = None
         if options.journal_dir is not None:
-            # The write-ahead journal + crash postmortems share one
-            # directory; the flight recorder arms excepthook/
-            # faulthandler dumps for anything the journal can't see.
+            # The journal also records an uncaught exception as a
+            # ``crash`` record, until the dispatcher closes it.
             journal = Journal(options.journal_dir)
-            flight.install(options.journal_dir)
-            flight.note("serve.starting", pid=os.getpid())
         self.dispatcher = Dispatcher(
             jobs=options.jobs,
             queue_limit=options.queue_limit,

@@ -166,6 +166,23 @@ class TestLoaders:
     @pytest.mark.parametrize(
         "command", ["check", "lint", "subschema", "profile", "explain"]
     )
+    def test_directory_transducer_exits_2(self, files, tmp_path, capsys, command):
+        path = tmp_path / "pairs"
+        path.mkdir()
+        assert main([command, str(path), files["schema"]]) == 2
+        err = capsys.readouterr().err
+        assert "error: %s: " % path in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "transform"])
+    def test_directory_document_exits_2(self, files, tmp_path, capsys, command):
+        first = files["schema"] if command == "validate" else files["select"]
+        assert main([command, first, str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: %s: " % tmp_path in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command", ["check", "lint", "subschema", "profile", "explain"]
+    )
     @pytest.mark.parametrize(
         "name, text, line",
         [

@@ -20,9 +20,9 @@ from repro.obs import (
     label_key,
     labeled_from_jsonable,
     labeled_to_jsonable,
-    load_run_profile,
-    profile_from_payload,
     profile_from_recorder,
+    profile_from_snapshot,
+    read_run,
     render_attribution,
     render_diff,
 )
@@ -194,7 +194,7 @@ class TestChromeTraceExport:
         assert "X" not in phases and "C" not in phases
         assert any(event.get("ph") == "i" for event in trace["traceEvents"])
 
-    def test_labeled_registry_rides_the_trace(self):
+    def test_labeled_registry_rides_the_trace(self, tmp_path):
         with obs.recording() as recorder:
             with obs.span("root"):
                 obs.add("n", 2, rule="r1")
@@ -204,7 +204,9 @@ class TestChromeTraceExport:
             if event.get("name") == "repro_labeled"
         ]
         assert len(metadata) == 1
-        profile = profile_from_payload(trace, label="t")
+        path = tmp_path / "trace.json"
+        obs.write_chrome_trace(recorder, str(path))
+        profile = profile_from_snapshot(read_run(str(path)), label="t")
         assert profile.labeled["n"][label_key({"rule": "r1"})] == 2
 
     def test_write_chrome_trace_is_byte_stable(self, tmp_path):
@@ -317,7 +319,7 @@ class TestRunProfileSniffing:
                 obs.add("n", 1, k="v")
         path = tmp_path / "trace.json"
         obs.write_chrome_trace(recorder, str(path))
-        profile = load_run_profile(str(path))
+        profile = profile_from_snapshot(read_run(str(path)))
         assert profile.counters["n"] == 1
         assert profile.labeled["n"][label_key({"k": "v"})] == 1
 
@@ -325,7 +327,7 @@ class TestRunProfileSniffing:
         path = tmp_path / "bad.json"
         path.write_text("[1, 2]")
         with pytest.raises(ValueError):
-            load_run_profile(str(path))
+            read_run(str(path))
 
 
 class TestHotPathAttribution:

@@ -1,22 +1,29 @@
-"""Tests for the crash-safe obs journal and the flight recorder.
+"""Tests for the crash-safe obs journal and the one artifact reader.
 
 The journal's contract is exercised at every layer: CRC framing and
-torn-tail tolerance on the byte level, rotation/retention/fsync on the
-writer, replay back into live-process shapes (request table, merged
-Snapshot, Chrome trace, OpenMetrics), and the ``python -m repro
-journal`` / ``batch --journal`` / ``report --journal`` CLI surfaces.
-The serve-daemon crash-recovery path (SIGKILL + restart) lives in
-``test_serve_recovery.py`` — this module stays subprocess-free.
+torn-tail tolerance on the byte level, rotation/retention/fsync and
+crash records on the writer, replay back into live-process shapes
+(request table, merged Snapshot, Chrome trace, OpenMetrics), and the
+``python -m repro journal`` / ``batch --journal`` / ``report
+--journal`` CLI surfaces.  The reader tests feed every artifact kind
+to every command that reads runs.  The serve-daemon crash-recovery
+path (SIGKILL + restart) lives in ``test_serve_recovery.py``; the one
+subprocess here is the process that crashes with a journal open.
 """
 
+import contextlib
+import faulthandler
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import obs
 from repro.cli import main
-from repro.obs import flight
+from repro.obs import journal as journal_module
 from repro.obs.journal import (
     JOURNAL_KIND,
     TERMINAL_PHASES,
@@ -31,7 +38,8 @@ from repro.obs.journal import (
     segment_number,
     tail_records,
 )
-from repro.obs.metrics import sniff_jsonl_kind, validate_openmetrics
+from repro.obs.html import render_report_html
+from repro.obs.metrics import validate_openmetrics
 
 RECIPES_SCHEMA = """
 start recipes
@@ -97,9 +105,9 @@ class TestFraming:
         with Journal(str(tmp_path / "j")) as journal:
             journal.append("meta", {"phase": "test"})
         [path] = journal_segments(str(tmp_path / "j"))
-        text = open(path).read()
-        assert sniff_jsonl_kind(text) == JOURNAL_KIND
-        assert sniff_jsonl_kind("just text") is None
+        assert obs.sniff_artifact(path) == "journal"
+        (tmp_path / "notes.txt").write_text("just text")
+        assert obs.sniff_artifact(str(tmp_path / "notes.txt")) is None
         header, records, corrupt = read_segment(path)
         assert header["kind"] == JOURNAL_KIND
         assert header["segment"] == 1
@@ -148,9 +156,11 @@ class TestJournalWriter:
         assert len(segments) == 2
         assert [r.seq for r in read_journal(directory)] == [1, 2, 3, 4]
 
-    def test_rotation_and_retention(self, tmp_path):
+    def test_rotation_and_retention(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_module, "SEGMENT_BYTES", 256)
+        monkeypatch.setattr(journal_module, "RETAIN_SEGMENTS", 3)
         directory = str(tmp_path / "j")
-        with Journal(directory, segment_bytes=256, retain_segments=3) as journal:
+        with Journal(directory) as journal:
             for index in range(50):
                 journal.append("meta", {"index": index, "pad": "x" * 64})
             assert len(journal_segments(directory)) <= 3
@@ -159,24 +169,10 @@ class TestJournalWriter:
         assert indexes == sorted(indexes)
         assert indexes[-1] == 49
 
-    def test_fsync_always_never_lags(self, tmp_path):
-        with Journal(str(tmp_path / "j"), fsync="always") as journal:
-            journal.append("meta", {})
-            assert journal.lag() == 0
-
-    def test_fsync_never_lags_until_forced(self, tmp_path):
-        with Journal(str(tmp_path / "j"), fsync="never") as journal:
-            for _ in range(5):
-                journal.append("meta", {})
-            assert journal.lag() == 5
-            journal.sync()
-            assert journal.lag() == 0
-
-    def test_fsync_interval_batch_threshold(self, tmp_path):
-        journal = Journal(
-            str(tmp_path / "j"),
-            fsync="interval", fsync_interval=3600.0, fsync_batch=4,
-        )
+    def test_fsync_interval_batch_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_module, "FSYNC_INTERVAL_S", 3600.0)
+        monkeypatch.setattr(journal_module, "FSYNC_BATCH", 4)
+        journal = Journal(str(tmp_path / "j"))
         try:
             for _ in range(3):
                 journal.append("meta", {})
@@ -186,15 +182,15 @@ class TestJournalWriter:
         finally:
             journal.close()
 
-    def test_health_document(self, tmp_path):
-        with Journal(str(tmp_path / "j"), fsync="never") as journal:
+    def test_health_document(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_module, "FSYNC_INTERVAL_S", 3600.0)
+        with Journal(str(tmp_path / "j")) as journal:
             journal.append("meta", {})
             health = journal.health()
         assert health["segment"] == "journal-000001.jsonl"
         assert health["segments"] == 1
         assert health["records"] == 1
         assert health["lag"] == 1
-        assert health["fsync"] == "never"
 
     def test_append_after_close_raises(self, tmp_path):
         journal = Journal(str(tmp_path / "j"))
@@ -203,20 +199,23 @@ class TestJournalWriter:
         with pytest.raises(ValueError):
             journal.append("meta", {})
 
-    def test_constructor_rejects_bad_arguments(self, tmp_path):
-        with pytest.raises(ValueError):
-            Journal(str(tmp_path / "j"), fsync="sometimes")
-        with pytest.raises(ValueError):
-            Journal(str(tmp_path / "j"), segment_bytes=0)
-        with pytest.raises(ValueError):
-            Journal(str(tmp_path / "j"), retain_segments=0)
-
     def test_scan_rejects_a_non_journal_path(self, tmp_path):
         with pytest.raises(ValueError):
             scan_journal(str(tmp_path / "nope"))
         (tmp_path / "empty").mkdir()
         with pytest.raises(ValueError):
             scan_journal(str(tmp_path / "empty"))
+
+    def test_scan_rejects_a_headerless_file(self, tmp_path):
+        """A single file is a segment only with the segment header; a
+        directory still reads every segment it names."""
+        with Journal(str(tmp_path / "j")) as journal:
+            journal.append("meta", {})
+        [path] = journal_segments(str(tmp_path / "j"))
+        records = open(path).read().splitlines(True)[1:]
+        (tmp_path / "records.jsonl").write_text("".join(records))
+        with pytest.raises(ValueError, match=JOURNAL_KIND):
+            scan_journal(str(tmp_path / "records.jsonl"))
 
     def test_tail_records(self, tmp_path):
         directory = str(tmp_path / "j")
@@ -318,12 +317,18 @@ class TestReplay:
         directory = str(tmp_path / "j")
         self._write_serve_like_journal(directory)
         replay = replay_journal(directory)
-        trace = replay.chrome_trace()
+        snapshot = replay.snapshot
+        recorder = obs.Recorder(log_level=obs.DEBUG)
+        snapshot.merge_into(recorder)
+        trace = obs.to_chrome_trace(recorder)
         names = {e.get("name") for e in trace["traceEvents"]}
         assert "serve.request" in names
-        families = validate_openmetrics(replay.openmetrics())
+        families = validate_openmetrics(obs.render_openmetrics(
+            snapshot.counters, snapshot.gauges, snapshot.histograms))
         assert "repro_corpus_jobs" in families
-        html = replay.html_report(title="postmortem x")
+        html = render_report_html(
+            snapshot, log_events=snapshot.events,
+            corpus=replay.corpus_doc(), title="postmortem x")
         assert "postmortem x" in html
         assert "1 jobs" in html
 
@@ -348,43 +353,6 @@ class TestReplay:
         assert replay.requests == {}
 
 
-class TestFlightRecorder:
-    def test_ring_is_bounded(self, tmp_path):
-        recorder = flight.FlightRecorder(str(tmp_path), capacity=3)
-        for index in range(7):
-            recorder.note("tick", index=index)
-        assert [e["fields"]["index"] for e in recorder.events()] == [4, 5, 6]
-
-    def test_dump_anatomy(self, tmp_path):
-        recorder = flight.FlightRecorder(str(tmp_path), capacity=8)
-        recorder.note("serve.admitted", request_id="r0001")
-        try:
-            raise RuntimeError("boom")
-        except RuntimeError as error:
-            path = recorder.dump("uncaught exception", error)
-        assert os.path.basename(path).startswith("crash-")
-        payload = json.load(open(path))
-        assert payload["kind"] == flight.CRASH_KIND
-        assert payload["reason"] == "uncaught exception"
-        assert payload["exception"]["type"] == "RuntimeError"
-        assert "boom" in payload["exception"]["traceback"]
-        assert payload["events"][-1]["kind"] == "serve.admitted"
-        assert "Current thread" in payload["stack"]
-
-    def test_install_is_idempotent_and_note_is_guarded(self, tmp_path):
-        flight.uninstall()
-        assert flight.installed() is None
-        flight.note("ignored", x=1)  # must not raise with nothing installed
-        try:
-            first = flight.install(str(tmp_path))
-            assert flight.install(str(tmp_path)) is first
-            flight.note("tick", x=2)
-            assert first.events()[-1]["kind"] == "tick"
-        finally:
-            flight.uninstall()
-        assert flight.installed() is None
-
-
 class TestJournalCli:
     @pytest.fixture
     def batch_journal(self, corpus, tmp_path):
@@ -397,7 +365,6 @@ class TestJournalCli:
             "--journal", str(directory),
         ])
         assert status == 1  # copying.tdx -> unsafe
-        flight.uninstall()
         return directory
 
     def test_batch_journal_contents(self, batch_journal, capsys):
@@ -480,3 +447,181 @@ class TestJournalCli:
         assert "does not exist" in capsys.readouterr().err
         assert main(["journal", "replay", str(tmp_path / "missing")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestCrashRecord:
+    def test_uncaught_exception_leaves_one_crash_record(self, tmp_path):
+        """A process that dies of an uncaught exception with a journal
+        open (as ``batch --journal`` holds one) leaves a ``crash``
+        record with the traceback and every thread's stack, next to
+        the fatal-signal sidecar, and no separate postmortem file."""
+        directory = tmp_path / "j"
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys\n"
+            "from repro.obs.journal import Journal\n"
+            "journal = Journal(sys.argv[1])\n"
+            "journal.append('run', {'phase': 'begin'})\n"
+            "raise RuntimeError('boom')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(directory)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "RuntimeError: boom" in done.stderr  # the chained hook ran
+        crashes = [r for r in read_journal(str(directory)) if r.type == "crash"]
+        assert len(crashes) == 1
+        crash = crashes[0].data
+        assert crash["type"] == "RuntimeError" and crash["message"] == "boom"
+        assert "boom" in crash["traceback"]
+        assert "Current thread 0x" in crash["stacks"] or "Thread 0x" in crash["stacks"]
+        names = os.listdir(directory)
+        assert "crash-stacks-%d.txt" % crash["pid"] in names
+        assert not [n for n in names if n.startswith("crash-") and n.endswith(".json")]
+
+    def test_close_restores_the_hooks(self, tmp_path):
+        hook, enabled = sys.excepthook, faulthandler.is_enabled()
+        journal = Journal(str(tmp_path / "j"))
+        assert sys.excepthook is not hook and faulthandler.is_enabled()
+        journal.close()
+        assert sys.excepthook is hook
+        assert faulthandler.is_enabled() == enabled
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One of every file the program writes: a ``check`` run's trace,
+    log, metrics and job object, and a ``batch --journal`` run's
+    corpus report, status file and journal (plus one segment of it
+    and its merged Snapshot document)."""
+    root = tmp_path_factory.mktemp("artifacts")
+    corpus = root / "corpus"
+    corpus.mkdir()
+    (corpus / "recipes.schema").write_text(RECIPES_SCHEMA)
+    (corpus / "select.tdx").write_text(SELECT_TDX)
+    (corpus / "copying.tdx").write_text(COPYING_TDX)
+    (corpus / "manifest.txt").write_text(MANIFEST)
+    paths = {name: str(root / filename) for name, filename in (
+        ("trace", "trace.json"), ("log", "run.jsonl"),
+        ("metrics", "check.prom"), ("job", "job.json"),
+        ("report", "corpus.jsonl"), ("status", "status.json"),
+        ("journal", "journal"), ("snapshot", "snapshot.json"),
+    )}
+    assert main([
+        "check", str(corpus / "copying.tdx"), str(corpus / "recipes.schema"),
+        "--trace", paths["trace"], "--log", paths["log"],
+        "--metrics", paths["metrics"],
+    ]) == 1
+    paths["empty_log"] = str(root / "empty.jsonl")
+    assert main([
+        "check", str(corpus / "select.tdx"), str(corpus / "recipes.schema"),
+        "--log", paths["empty_log"], "--log-level", "error",
+    ]) == 0
+    with open(paths["job"], "w") as handle, contextlib.redirect_stdout(handle):
+        assert main(["check", str(corpus / "select.tdx"),
+                     str(corpus / "recipes.schema"), "--format", "json"]) == 0
+    assert main([
+        "batch", str(corpus), "--no-cache", "--no-progress",
+        "--format", "json", "--output", paths["report"],
+        "--status-file", paths["status"], "--journal", paths["journal"],
+    ]) == 1
+    with open(paths["snapshot"], "w") as handle:
+        json.dump(replay_journal(paths["journal"]).snapshot.to_dict(), handle)
+    paths["segment"] = journal_segments(paths["journal"])[0]
+    paths["corpus"] = str(corpus)
+    return paths
+
+
+RUNS = ("trace", "snapshot", "journal", "segment")
+
+
+class TestArtifactReader:
+    @pytest.mark.parametrize("name, kind", [
+        ("trace", "chrome-trace"), ("snapshot", "snapshot"),
+        ("journal", "journal"), ("segment", "journal"), ("log", "log"),
+        ("report", "corpus"), ("status", "status"),
+        ("job", "job"), ("metrics", "openmetrics"), ("corpus", None),
+        ("empty_log", "log"),
+    ])
+    def test_sniffer_names_every_artifact(self, artifacts, name, kind):
+        assert obs.sniff_artifact(artifacts[name]) == kind
+
+    @pytest.mark.parametrize("argv, path, found", [
+        (["report", "--log", "@journal"], "journal", "this is a journal"),
+        (["report", "--trace", "@status"], "status",
+         "this is a batch/serve status file"),
+        (["report", "--trace", "@job"], "job",
+         "this is a check --format json job object"),
+        (["report", "--trace", "@trace", "--baseline-trace",
+          "@status"], "status", "this is a batch/serve status file"),
+        (["trace-diff", "@status", "@trace"], "status",
+         "this is a batch/serve status file"),
+        (["trace-diff", "@trace", "@job"], "job",
+         "this is a check --format json job object"),
+        (["report", "--trace", "@log"], "log",
+         "this is a --log JSONL file"),
+        (["report", "--trace", "@metrics"], "metrics",
+         "this is an OpenMetrics exposition"),
+        (["report", "--corpus", "@trace"], "trace",
+         "this is a Chrome trace"),
+        (["journal", "replay", "@trace"], "trace",
+         "this is a Chrome trace"),
+        (["journal", "ls", "@trace"], "trace",
+         "this is a Chrome trace"),
+        (["trace-diff", "@corpus", "@trace"], "corpus",
+         "a directory without journal segments"),
+        (["explain", "@trace", "@trace"], "trace",
+         "this is a Chrome trace"),
+    ])
+    def test_wrong_artifact_exits_2_by_name(
+        self, artifacts, tmp_path, capsys, argv, path, found
+    ):
+        argv = [artifacts[arg[1:]] if arg.startswith("@") else arg
+                for arg in argv]
+        if argv[0] == "report":
+            argv += ["--output", str(tmp_path / "r.html")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: %s: %s" % (artifacts[path], found) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.html").exists()
+
+    @pytest.mark.parametrize("a", RUNS)
+    @pytest.mark.parametrize("b", RUNS)
+    def test_trace_diff_takes_every_run_format(self, artifacts, capsys, a, b):
+        assert main(["trace-diff", artifacts[a], artifacts[b]]) == 0
+        assert "diverging" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_report_trace_takes_every_run_format(
+        self, artifacts, tmp_path, capsys, name
+    ):
+        out = tmp_path / "r.html"
+        assert main(["report", "--trace", artifacts[name],
+                     "--output", str(out)]) == 0
+        html = out.read_text()
+        assert "Work attribution" in html and "rule=" in html
+
+    def test_report_takes_a_log_without_events(self, artifacts, tmp_path, capsys):
+        out = tmp_path / "r.html"
+        assert main(["report", "--log", artifacts["empty_log"],
+                     "--output", str(out)]) == 0
+        assert "The log file contains no events." in out.read_text()
+
+    def test_journal_forms_read_the_same_run(self, artifacts):
+        whole = obs.read_run(artifacts["journal"]).to_dict()
+        assert obs.read_run(artifacts["segment"]).to_dict() == whole
+        assert obs.read_run(artifacts["snapshot"]).to_dict() == whole
+
+    def test_batch_leaves_the_process_hooks_alone(self, corpus, tmp_path, capsys):
+        hook, enabled = sys.excepthook, faulthandler.is_enabled()
+        assert main([
+            "batch", str(corpus), "--no-cache", "--no-progress",
+            "--format", "json", "--journal", str(tmp_path / "journal"),
+        ]) == 1
+        assert sys.excepthook is hook
+        assert faulthandler.is_enabled() == enabled

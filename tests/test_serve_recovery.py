@@ -357,3 +357,84 @@ class TestHardShutdown:
                 server.proc.kill()
                 server.proc.wait()
             _kill_group(server)
+
+
+def _wait_gone(workers, seconds):
+    """Whether every pid in ``workers`` is gone or a zombie within
+    ``seconds``."""
+    deadline = time.time() + seconds
+    while any(_running(pid) for pid in workers):
+        if time.time() > deadline:
+            return False
+        time.sleep(0.1)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads worker pids from /proc")
+class TestOrphanedWorkers:
+    """A pool worker exits when its parent is SIGKILLed — whether it
+    is idle or asleep in a job — instead of living on with PPID 1."""
+
+    def test_serve_workers_exit_with_a_killed_daemon(self, corpora, tmp_path):
+        server = _start_daemon(tmp_path, delay="slowpoke:60")
+        try:
+            threading.Thread(
+                target=_submit_and_drop, args=(server, corpora.slow), daemon=True
+            ).start()
+            deadline = time.time() + 60
+            while (
+                _request_state(server.status_file, "r0001") != "running"
+                or not _children(server.proc.pid)
+            ):
+                assert time.time() < deadline, "r0001 never reached a worker"
+                time.sleep(0.1)
+            time.sleep(0.5)  # let the job reach the delay hook
+            workers = _children(server.proc.pid)
+            server.proc.kill()
+            server.proc.wait(timeout=30)
+            assert _wait_gone(workers, 5.0), "pool workers outlived the daemon"
+        finally:
+            if server.proc.poll() is None:
+                server.proc.kill()
+                server.proc.wait()
+            _kill_group(server)
+
+    def test_batch_workers_exit_with_a_killed_batch(self, corpora, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env[FAULT_DELAY_ENV] = "slowpoke:60"
+        status_file = tmp_path / "status.json"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "batch", str(corpora.slow),
+                "--jobs", "2", "--no-cache", "--no-progress",
+                "--status-file", str(status_file),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        batch = SimpleNamespace(proc=proc)
+        try:
+            deadline = time.time() + 60
+            while True:
+                assert proc.poll() is None, "batch exited early"
+                assert time.time() < deadline, "the job never reached a worker"
+                try:
+                    in_flight = json.loads(status_file.read_text())["workers"]
+                except (OSError, ValueError, KeyError):
+                    in_flight = []
+                if in_flight and _children(proc.pid):
+                    break
+                time.sleep(0.1)
+            workers = _children(proc.pid)
+            proc.kill()
+            proc.wait(timeout=30)
+            assert _wait_gone(workers, 5.0), "pool workers outlived batch"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            _kill_group(batch)
