@@ -68,8 +68,9 @@ def main() -> None:
             % (summary.cache_hits, summary.cache_misses, summary.wall_time_s)
         )
 
-        # Keys are content-addressed: comments and whitespace do not
-        # count, semantic edits do.
+        # Keys hash the job (names, paths, protected labels) and the
+        # bytes of its two files: any edit, a comment included,
+        # recomputes the jobs that read the file.
         key = job_cache_key(jobs[0])
         print("cache key of %s: %s..." % (jobs[0].job_id, (key or "")[:16]))
     finally:

@@ -198,8 +198,8 @@ def audit_corpus(
     serve-side splitter), so N calls with ``0/N``..``N-1/N`` together
     cover exactly the full corpus.
     """
-    # Imported lazily: corpus pulls in the CLI loaders, which import
-    # this module.
+    # Imported lazily, so ``import repro`` does not load the batch
+    # engine.
     from .corpus import discover_jobs, filter_shard, open_cache, parse_shard, run_corpus
 
     jobs = discover_jobs(corpus_dir)

@@ -1,23 +1,7 @@
 """Command-line interface: validate, transform, and check documents.
 
-File formats (deliberately line-oriented and diff-friendly):
-
-**Schema files** (``.dtd`` text form) — one content model per line,
-``start`` naming the root labels, ``#`` comments::
-
-    start recipes
-    recipes -> recipe*
-    recipe  -> description . ingredients . instructions . comments
-    description -> text
-
-**Transducer files** (``.tdx``) — top-down uniform transducers in the
-paper's rule syntax; states are declared implicitly by use::
-
-    initial q0
-    rule q0 recipes -> recipes(q0)
-    rule q0 recipe  -> recipe(qsel)
-    rule qsel description -> description(q)
-    text q
+The input formats (``.schema``, ``.tdx``, XML) are described, and
+read, in :mod:`repro.formats`.
 
 Commands::
 
@@ -91,9 +75,10 @@ and prints the span tree (phase wall times, automaton sizes, counters).
 ``batch`` audits a whole corpus (see :mod:`repro.corpus`): jobs come
 from ``CORPUS_DIR/manifest.txt`` or the ``*.tdx`` x ``*.schema``
 directory convention, run in parallel worker processes with per-job
-timeouts and failure isolation, and results are cached content-
-addressed under ``CORPUS_DIR/.repro-cache`` so re-runs only recompute
-changed pairs.  ``--format json`` streams JSONL (one job object per
+timeouts and failure isolation, and results are cached under
+``CORPUS_DIR/.repro-cache``, keyed on the job and the bytes of its two
+files (see :mod:`repro.corpus.cache`), so re-runs only recompute jobs
+whose files changed.  ``--format json`` streams JSONL (one job object per
 line plus a summary trailer); ``text``/``markdown`` render worst
 verdicts first with a cache/timing footer.  ``--shard i/N`` keeps only
 this process's deterministic slice of the corpus (SHA-256 of the job
@@ -174,7 +159,7 @@ Exit status, for CI use:
       file belongs, reported as ``PATH: ...``; malformed or non-UTF-8
       schema, transducer or XML files, reported as ``PATH:LINE``;
       an artifact of the wrong kind; malformed corpus/manifest,
-      ``CliError``; ``submit``: also an
+      ``FormatError``; ``submit``: also an
       unreachable server or a server-side discovery failure)
 3     ``submit`` only: the server refused admission — the bounded
       queue is at its high-water mark (HTTP's 429); retry later
@@ -190,11 +175,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import obs
 from .analysis import (
@@ -205,14 +189,23 @@ from .analysis import (
     is_rearranging,
     maximal_safe_subschema,
 )
-from .automata.nta import TEXT
 from .core.topdown import TopDownTransducer
-from .lint import SEVERITIES, SourceInfo, render_json, render_text, severity_order
+from .formats import (
+    FormatError,
+    LoadedSchema,
+    LoadedTransducer,
+    load_document,
+    load_schema,
+    load_schema_ex,
+    load_transducer,
+    load_transducer_ex,
+    source_info,
+)
+from .lint import SEVERITIES, render_json, render_text, severity_order
 from .lint.dataflow import pass_names, prefilter_disabled
 from .schema.dtd import DTD, dtd_to_nta
-from .strings.nfa import NFA
 from .trees.parser import serialize_tree
-from .trees.xmlio import XmlSyntaxError, tree_to_xml, xml_to_tree
+from .trees.xmlio import tree_to_xml
 
 __all__ = [
     "main",
@@ -226,8 +219,9 @@ __all__ = [
 ]
 
 
-class CliError(ValueError):
-    """Raised for malformed input files; printed without a traceback."""
+#: The one input error of every command (exit 2): a malformed file is a
+#: :class:`repro.formats.FormatError`, and so is a bad flag or corpus.
+CliError = FormatError
 
 
 def _validate_fail_on(value: str) -> int:
@@ -263,202 +257,9 @@ def _parse_passes(value: Optional[str]) -> Optional[Tuple[str, ...]]:
     return names
 
 
-class LoadedSchema(NamedTuple):
-    """A parsed schema plus the source lines its labels came from."""
-
-    dtd: DTD
-    label_lines: Dict[str, int]
-
-
-class LoadedTransducer(NamedTuple):
-    """A parsed transducer plus the source lines of its rules/states."""
-
-    transducer: TopDownTransducer
-    rule_lines: Dict[Tuple[str, str], int]
-    state_lines: Dict[str, int]
-
-
-def _open_utf8(path: str) -> io.StringIO:
-    """The file as ``open(path, encoding="utf-8")`` reads it, except that
-    a path that cannot be read (missing, a directory) is a
-    :class:`CliError`, and so is a byte that is not UTF-8, at its line."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as error:
-        raise CliError("%s: %s" % (path, error.strerror or error)) from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as error:
-        line = data.count(b"\n", 0, error.start) + 1
-        raise CliError("%s:%d: not valid UTF-8" % (path, line)) from None
-    return io.StringIO(text, newline=None)
-
-
-def _blame(
-    path: str, error: ValueError, checks: Sequence[Tuple[int, Callable[[], object]]]
-) -> CliError:
-    """The :class:`CliError` for a file whose parsed declarations failed
-    to build with ``error``: ``PATH:LINE: ...`` for the first
-    ``(line, check)`` in source order whose check fails on its own
-    declaration, else ``PATH: ...``.  Only runs once the file is known
-    to be bad, so a good file pays nothing."""
-    for number, check in sorted(checks, key=lambda item: item[0]):
-        try:
-            check()
-        except ValueError as own:
-            return CliError("%s:%d: %s" % (path, number, own))
-    return CliError("%s: %s" % (path, error))
-
-
-def load_schema_ex(path: str) -> LoadedSchema:
-    """Parse the line-oriented schema format, keeping source lines."""
-    content: Dict[str, str] = {}
-    label_lines: Dict[str, int] = {}
-    start: Set[str] = set()
-    start_lines: Dict[str, int] = {}
-    with _open_utf8(path) as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("start"):
-                labels = line[len("start"):].split()
-                if not labels:
-                    raise CliError("%s:%d: 'start' needs at least one label" % (path, number))
-                start.update(labels)
-                for label in labels:
-                    start_lines.setdefault(label, number)
-                continue
-            if "->" not in line:
-                raise CliError("%s:%d: expected 'label -> content-model'" % (path, number))
-            label, model = (part.strip() for part in line.split("->", 1))
-            if not label or " " in label:
-                raise CliError("%s:%d: bad label %r" % (path, number, label))
-            if label in content:
-                raise CliError("%s:%d: duplicate content model for %r" % (path, number, label))
-            content[label] = model
-            label_lines[label] = number
-    if not start:
-        raise CliError("%s: missing 'start' line" % path)
-    try:
-        return LoadedSchema(DTD(content=content, start=start), label_lines)
-    except ValueError as error:
-        # Each check builds the schema with one declaration kept and
-        # every other content model empty.
-        empty = {label: NFA([0], [], [], 0, [0]) for label in content if label != TEXT}
-        checks = [
-            (number, lambda label=label: DTD({**empty, label: content[label]}, ()))
-            for label, number in label_lines.items()
-        ] + [
-            (number, lambda label=label: DTD(empty, (label,)))
-            for label, number in start_lines.items()
-        ]
-        raise _blame(path, error, checks) from None
-
-
-def load_schema(path: str) -> DTD:
-    """Parse the line-oriented schema format into a DTD."""
-    return load_schema_ex(path).dtd
-
-
-def load_transducer_ex(path: str) -> LoadedTransducer:
-    """Parse the transducer format, keeping source lines."""
-    initial: Optional[str] = None
-    rules: Dict[Tuple[str, str], str] = {}
-    rule_lines: Dict[Tuple[str, str], int] = {}
-    states: Set[str] = set()
-    state_lines: Dict[str, int] = {}
-    pending: List[Tuple[int, str, str, str]] = []
-
-    def register_state(state: str, number: int) -> None:
-        states.add(state)
-        state_lines.setdefault(state, number)
-
-    with _open_utf8(path) as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            keyword = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
-            if keyword == "initial":
-                if initial is not None:
-                    raise CliError("%s:%d: duplicate 'initial'" % (path, number))
-                initial = rest.strip()
-                if not initial:
-                    raise CliError("%s:%d: 'initial' needs a state name" % (path, number))
-                register_state(initial, number)
-            elif keyword == "text":
-                text_states = rest.split()
-                if not text_states:
-                    raise CliError("%s:%d: 'text' needs at least one state" % (path, number))
-                for state in text_states:
-                    register_state(state, number)
-                    rules[(state, "text")] = "text"
-                    rule_lines[(state, "text")] = number
-            elif keyword == "rule":
-                if "->" not in rest:
-                    raise CliError("%s:%d: expected 'rule STATE LABEL -> rhs'" % (path, number))
-                head, rhs = (part.strip() for part in rest.split("->", 1))
-                head_parts = head.split()
-                if len(head_parts) != 2:
-                    raise CliError("%s:%d: expected 'rule STATE LABEL -> rhs'" % (path, number))
-                state, label = head_parts
-                register_state(state, number)
-                pending.append((number, state, label, rhs))
-            else:
-                raise CliError("%s:%d: unknown keyword %r" % (path, number, keyword))
-    if initial is None:
-        raise CliError("%s: missing 'initial' line" % path)
-    for number, state, label, rhs in pending:
-        if (state, label) in rules:
-            raise CliError("%s:%d: duplicate rule for (%s, %s)" % (path, number, state, label))
-        rules[(state, label)] = rhs
-        rule_lines[(state, label)] = number
-    try:
-        transducer = TopDownTransducer(states=states, rules=rules, initial=initial)
-    except ValueError as error:
-        checks = [
-            (number, lambda key=key: TopDownTransducer(states, {key: rules[key]}, initial))
-            for key, number in rule_lines.items()
-        ]
-        raise _blame(path, error, checks) from None
-    return LoadedTransducer(transducer, rule_lines, state_lines)
-
-
-def load_transducer(path: str) -> TopDownTransducer:
-    """Parse the transducer format into a top-down transducer."""
-    return load_transducer_ex(path).transducer
-
-
-def _source_info(
-    transducer_path: str, loaded_transducer: LoadedTransducer,
-    schema_path: str, loaded_schema: LoadedSchema,
-) -> SourceInfo:
-    return SourceInfo(
-        transducer_path=transducer_path,
-        schema_path=schema_path,
-        rule_lines=loaded_transducer.rule_lines,
-        state_lines=loaded_transducer.state_lines,
-        label_lines=loaded_schema.label_lines,
-    )
-
-
-def _load_document(path: str):
-    with _open_utf8(path) as handle:
-        text = handle.read()
-    try:
-        return xml_to_tree(text)
-    except XmlSyntaxError as error:
-        line = text.count("\n", 0, error.position) + 1
-        raise CliError("%s:%d: %s" % (path, line, error)) from None
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     dtd = load_schema(args.schema)
-    document = _load_document(args.document)
+    document = load_document(args.document)
     reason = dtd.invalidity_reason(document)
     if reason is None:
         print("valid")
@@ -469,7 +270,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     transducer = load_transducer(args.transducer)
-    document = _load_document(args.document)
+    document = load_document(args.document)
     result = transducer.apply(document)
     if len(result) == 1:
         sys.stdout.write(tree_to_xml(result[0]))
@@ -596,7 +397,7 @@ def _run_check(
             transducer,
             dtd,
             args.protect or (),
-            sources=_source_info(
+            sources=source_info(
                 args.transducer, loaded_transducer, args.schema, loaded_schema
             ),
             codes=("TP301", "TP302", "TP401"),
@@ -623,7 +424,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             loaded_transducer.transducer,
             loaded_schema.dtd,
             args.protect or (),
-            sources=_source_info(
+            sources=source_info(
                 args.transducer, loaded_transducer, args.schema, loaded_schema
             ),
             passes=passes,
@@ -758,18 +559,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise CliError("--jobs must be at least 1, got %d" % args.jobs)
     if args.timeout is not None and args.timeout <= 0:
         raise CliError("--timeout must be positive, got %g" % args.timeout)
-    try:
-        jobs = corpus.discover_jobs(args.corpus_dir)
-        if args.shard is not None:
-            index, count = corpus.parse_shard(args.shard)
-            total = len(jobs)
-            jobs = corpus.filter_shard(jobs, index, count)
-            print(
-                "shard %d/%d: %d of %d jobs" % (index, count, len(jobs), total),
-                file=sys.stderr,
-            )
-    except corpus.CorpusError as error:
-        raise CliError(str(error)) from None
+    jobs = corpus.discover_jobs(args.corpus_dir)
+    if args.shard is not None:
+        index, count = corpus.parse_shard(args.shard)
+        total = len(jobs)
+        jobs = corpus.filter_shard(jobs, index, count)
+        print(
+            "shard %d/%d: %d of %d jobs" % (index, count, len(jobs), total),
+            file=sys.stderr,
+        )
     cache = None if args.no_cache else corpus.open_cache(args.corpus_dir, args.cache_dir)
     if args.stall_after is not None and args.stall_after <= 0:
         raise CliError(

@@ -17,8 +17,8 @@ package is that engine:
 * :mod:`repro.corpus.telemetry` — the status-file sink ``repro top``
   polls;
 * :mod:`repro.corpus.cache` — a content-addressed result store
-  (``.repro-cache/``, SHA-256 of canonicalized inputs + protect set +
-  engine version) so re-runs only recompute changed pairs;
+  (``.repro-cache/``, SHA-256 of the job, the bytes of its two files
+  and the engine version) so re-runs only recompute changed jobs;
 * :mod:`repro.corpus.report` — text / markdown / JSONL reports, worst
   verdicts first, with the cache + timing footer.
 
@@ -40,8 +40,6 @@ from .cache import (
     DEFAULT_CACHE_DIRNAME,
     ENGINE_VERSION,
     ResultCache,
-    canonical_schema_text,
-    canonical_transducer_text,
     job_cache_key,
 )
 from .manifest import (
@@ -111,8 +109,6 @@ __all__ = [
     "job_signature",
     "validate_job_object",
     "cache_footer",
-    "canonical_transducer_text",
-    "canonical_schema_text",
     "open_cache",
     "render",
     "render_text",

@@ -1,22 +1,21 @@
 """The on-disk content-addressed result store (``.repro-cache/``).
 
-Cache keys are the SHA-256 of what actually determines a job's result:
+A cache key is the SHA-256 of everything a job's result is made of:
 
-* the **canonicalized** transducer — parsed, then re-serialized with
-  sorted rules — so comments, blank lines, and rule order never
-  invalidate an entry, while any semantic edit (a rule's right-hand
-  side, the initial state) always does;
-* the **canonicalized** schema — sorted start labels and sorted
-  ``label -> content-model`` lines;
-* the sorted protected-label set;
 * the **engine version** (:data:`ENGINE_VERSION`), so upgrading the
   analysis engine invalidates every entry at once — cached verdicts
-  from an older decision procedure are never trusted.
+  from an older decision procedure are never trusted;
+* the job as its result names it: both display names, both paths and
+  the protected labels in their given order.  The result carries them
+  (its ``job_id``, its diagnostics' ``file:line`` citations), so a hit
+  is always a result of this very job;
+* the **raw bytes** of the transducer and the schema file.
 
-Files that do not parse are keyed on their raw bytes instead (tagged so
-a raw key can never collide with a canonical one); their deterministic
-``error`` results are just as cacheable, and editing the file still
-invalidates exactly that entry.
+The cache parses nothing.  Any edit to a file, a comment included,
+recomputes that file's jobs: their diagnostics cite lines, and a
+comment moves them.  A file that does not parse is keyed the same way;
+its deterministic ``error`` result is just as cacheable.  A job whose
+file cannot be read has no key and always recomputes.
 
 Layout: ``<root>/<k[:2]>/<k[2:]>.json``, one JSON document per result,
 written atomically (temp file + rename) so a crashed run never leaves a
@@ -29,99 +28,41 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
-from ..core.topdown import OutputNode, RuleHedge, StateCall, TopDownTransducer
-from ..schema.dtd import DTD
 from .manifest import JobSpec
 
 __all__ = [
     "ENGINE_VERSION",
     "DEFAULT_CACHE_DIRNAME",
-    "canonical_transducer_text",
-    "canonical_schema_text",
     "job_cache_key",
     "ResultCache",
 ]
 
 #: Bumped whenever the analysis engine's verdicts, witnesses or the
-#: attribution in cached observations change; part of every cache key,
-#: so stale results can never survive an engine upgrade.
-ENGINE_VERSION = "repro-1.0.0/corpus-4"
+#: attribution in cached observations change, or the key's inputs do;
+#: part of every cache key, so stale results never survive an upgrade.
+ENGINE_VERSION = "repro-1.0.0/corpus-5"
 
 #: Default cache directory name, created inside the corpus directory.
 DEFAULT_CACHE_DIRNAME = ".repro-cache"
 
 
-def _render_rhs_item(item: Union[OutputNode, StateCall]) -> str:
-    if isinstance(item, StateCall):
-        return item.state
-    if not item.children:
-        return item.label
-    return "%s(%s)" % (item.label, " ".join(_render_rhs_item(c) for c in item.children))
-
-
-def _render_rhs(rhs: RuleHedge) -> str:
-    return " ".join(_render_rhs_item(item) for item in rhs)
-
-
-def canonical_transducer_text(transducer: TopDownTransducer) -> str:
-    """A whitespace/comment/order-insensitive serialization."""
-    lines = ["initial %s" % transducer.initial]
-    for state in sorted(transducer.text_states):
-        lines.append("text %s" % state)
-    for state, label in sorted(transducer.rules):
-        lines.append(
-            "rule %s %s -> %s" % (state, label, _render_rhs(transducer.rules[(state, label)]))
-        )
-    return "\n".join(lines)
-
-
-def canonical_schema_text(dtd: DTD) -> str:
-    """A whitespace/comment/order-insensitive serialization."""
-    lines = ["start %s" % " ".join(sorted(dtd.start))]
-    for label in sorted(dtd.alphabet):
-        lines.append("%s -> %s" % (label, dtd.content_source(label)))
-    return "\n".join(lines)
-
-
-def _canonical_or_raw(path: str, kind: str) -> Optional[str]:
-    """The canonical text of an input file, or a tagged raw-bytes hash
-    when it does not parse, or ``None`` when it cannot be read."""
-    from ..cli import CliError, load_schema, load_transducer
-
-    try:
-        if kind == "transducer":
-            return "canonical-transducer\n" + canonical_transducer_text(load_transducer(path))
-        return "canonical-schema\n" + canonical_schema_text(load_schema(path))
-    except (CliError, ValueError):
-        pass
-    except OSError:
-        return None
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError:
-        return None
-    return "raw-%s\n%s" % (kind, hashlib.sha256(raw).hexdigest())
-
-
 def job_cache_key(spec: JobSpec, engine_version: str = ENGINE_VERSION) -> Optional[str]:
     """The content hash of a job, or ``None`` when an input file is
     unreadable (such jobs always recompute)."""
-    transducer_part = _canonical_or_raw(spec.transducer_path, "transducer")
-    schema_part = _canonical_or_raw(spec.schema_path, "schema")
-    if transducer_part is None or schema_part is None:
-        return None
-    digest = hashlib.sha256()
-    for part in (
-        "engine=%s" % engine_version,
-        transducer_part,
-        schema_part,
-        "protect=%s" % ",".join(sorted(spec.protect)),
-    ):
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
+    job = [engine_version, spec.transducer_name, spec.transducer_path,
+           spec.schema_name, spec.schema_path, list(spec.protect)]
+    digest = hashlib.sha256(json.dumps(job).encode("utf-8"))
+    for path in (spec.transducer_path, spec.schema_path):
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        # Length-prefixed, so no two splits of the bytes hash alike.
+        digest.update(b"\x00%d\x00" % len(data))
+        digest.update(data)
     return digest.hexdigest()
 
 

@@ -19,11 +19,12 @@ from one of two places:
   transformations against a library of schemas.
 
 Problems with the *corpus itself* (missing directory, unreadable or
-malformed manifest, no jobs at all) raise :class:`CorpusError` — the
-CLI maps that to exit code 2.  Problems with an individual pair
-(a ``.tdx`` that does not parse, a missing file named by a job) are
-deliberately *not* discovery errors: they surface as per-job ``error``
-results so one bad file never blocks the rest of the corpus.
+malformed manifest, no jobs at all) raise :class:`CorpusError`, a
+:class:`repro.formats.FormatError` — the CLI maps that to exit code 2.
+Problems with an individual pair (a ``.tdx`` that does not parse, a
+missing file named by a job) are deliberately *not* discovery errors:
+they surface as per-job ``error`` results so one bad file never blocks
+the rest of the corpus.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
+
+from ..formats import FormatError, read_text
 
 __all__ = [
     "CorpusError",
@@ -48,7 +51,7 @@ __all__ = [
 MANIFEST_NAMES: Tuple[str, ...] = ("manifest.txt", "corpus.manifest")
 
 
-class CorpusError(ValueError):
+class CorpusError(FormatError):
     """The corpus itself is malformed (bad manifest, nothing to do)."""
 
 
@@ -94,11 +97,10 @@ def parse_manifest(path: str, base_dir: str) -> List[JobSpec]:
     ``base_dir``)."""
     jobs: List[JobSpec] = []
     try:
-        with open(path, encoding="utf-8") as handle:
-            lines = list(handle)
-    except OSError as error:
-        raise CorpusError("cannot read manifest %s: %s" % (path, error)) from None
-    for number, raw in enumerate(lines, start=1):
+        text = read_text(path)
+    except FormatError as error:
+        raise CorpusError(str(error)) from None
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -8,9 +8,9 @@ fresh :mod:`repro.obs` recorder and folds everything into one
 
 :func:`run_corpus` drives many jobs:
 
-* cache lookups happen in the parent (parsing is cheap; the expensive
-  part is the automata pipeline), misses are submitted to a
-  ``ProcessPoolExecutor``;
+* cache lookups happen in the parent (a key hashes the job and its two
+  files; the expensive part is the automata pipeline), misses are
+  submitted to a ``ProcessPoolExecutor``;
 * each worker enforces the per-job timeout *inside* the job via
   ``signal.setitimer`` (worker processes run tasks on their main
   thread, so SIGALRM interrupts even a hung automata construction);
@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .. import obs
+from ..formats import load_schema_ex, load_transducer_ex, source_info
 from ..lint import severity_order
 from .cache import ENGINE_VERSION, ResultCache, job_cache_key
 from .manifest import JobSpec
@@ -441,8 +442,6 @@ def analyze_pair(
     propagate to the worker loop).  ``log_level`` turns on structured
     event buffering under the job's recorder; the events ship back in
     ``result.observations``."""
-    from ..cli import CliError
-
     spec = JobSpec(
         transducer_path=transducer_path,
         schema_path=schema_path,
@@ -469,7 +468,7 @@ def analyze_pair(
                 result = _analyze_loaded(
                     result, spec, transducer_path, schema_path
                 )
-            except (CliError, FileNotFoundError, OSError, ValueError, TypeError) as error:
+            except (OSError, ValueError, TypeError) as error:
                 result.verdict = "error"
                 result.error = "%s: %s" % (type(error).__name__, error)
                 obs.error(
@@ -501,8 +500,6 @@ def _analyze_loaded(
         is_copying,
         is_rearranging,
     )
-    from ..cli import load_schema_ex, load_transducer_ex
-    from ..lint import SourceInfo
     from ..trees.xmlio import tree_to_xml
 
     loaded_transducer = load_transducer_ex(transducer_path)
@@ -515,13 +512,7 @@ def _analyze_loaded(
         for label in spec.protect
         if deletes_protected_text(transducer, dtd, label)
     )
-    sources = SourceInfo(
-        transducer_path=transducer_path,
-        schema_path=schema_path,
-        rule_lines=loaded_transducer.rule_lines,
-        state_lines=loaded_transducer.state_lines,
-        label_lines=loaded_schema.label_lines,
-    )
+    sources = source_info(transducer_path, loaded_transducer, schema_path, loaded_schema)
     result.diagnostics = [
         diagnostic.to_dict()
         for diagnostic in diagnose(transducer, dtd, spec.protect, sources=sources)
@@ -698,7 +689,6 @@ def _inline_if_proven_safe(
     """
     if spec.protect:
         return None
-    from ..cli import load_schema_ex, load_transducer_ex
     from ..lint.dataflow import analyze, log_skip, prefilter_enabled
     from ..schema.dtd import dtd_to_nta
 

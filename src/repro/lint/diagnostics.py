@@ -53,7 +53,7 @@ class SourceLocation:
 
 @dataclass(frozen=True)
 class SourceInfo:
-    """Side-band location data collected by the CLI loaders.
+    """Side-band location data collected by the :mod:`repro.formats` loaders.
 
     Maps transducer rules / states and schema labels back to the line
     of the ``.tdx``/``.dtd`` file that declared them, so diagnostics

@@ -237,7 +237,7 @@ def run_lint(
     protected_labels:
         Labels whose text must never be deleted (§7) — enables TP401.
     sources:
-        Optional ``file:line`` maps from the CLI loaders.
+        Optional ``file:line`` maps from the :mod:`repro.formats` loaders.
     codes:
         Restrict to a subset of diagnostic codes.
     compute_subschema:

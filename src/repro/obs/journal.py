@@ -39,7 +39,8 @@ Record vocabulary (the ``type`` field):
     one serve request lifecycle phase: ``data`` carries
     ``request_id``, ``phase`` (``admitted``/``started``/``shard``/
     ``finished``/``failed``/``cancelled``/``interrupted``) and the
-    request's status ``row`` at that moment.
+    request's status ``row`` at that moment; a ``failed`` phase also
+    carries the ``traceback`` of what ended the run.
 ``job``
     one corpus verdict — the canonical job object of
     :func:`repro.corpus.report.job_object`, plus ``request_id`` when
@@ -67,10 +68,12 @@ Durability
 
 Every record is flushed to the OS as it is written.  An append fsyncs
 once :data:`FSYNC_INTERVAL_S` seconds have passed or :data:`FSYNC_BATCH`
-records are pending, and rotation and close always do, so the records
-before an idle stretch wait for the next append; :meth:`Journal.lag`
-counts the unsynced ones (``repro top``'s journal lag).  Segments
-rotate at :data:`SEGMENT_BYTES`, keeping the newest :data:`RETAIN_SEGMENTS`.
+records are pending, and rotation and close always do; an append that
+leaves records unsynced arms a one-shot timer that syncs them
+:data:`FSYNC_INTERVAL_S` later, so an idle journal does not keep them
+pending.  :meth:`Journal.lag` counts the unsynced ones (``repro top``'s
+journal lag).  Segments rotate at :data:`SEGMENT_BYTES`, keeping the
+newest :data:`RETAIN_SEGMENTS`.
 
 Replay
 ------
@@ -312,6 +315,7 @@ class Journal:
         self._segment_size = 0
         self._unsynced = 0
         self._last_sync = time.monotonic()
+        self._sync_timer: Optional[threading.Timer] = None
         self._appended = 0
         os.makedirs(directory, exist_ok=True)
         self._seq = self._resume_seq()
@@ -392,7 +396,19 @@ class Journal:
             self._sync_locked()
         if self._segment_size >= SEGMENT_BYTES:
             self._rotate_locked()
+        if self._unsynced and self._sync_timer is None:
+            self._sync_timer = threading.Timer(FSYNC_INTERVAL_S, self._sync_idle)
+            self._sync_timer.daemon = True
+            self._sync_timer.start()
         return seq
+
+    def _sync_idle(self) -> None:
+        """The timer armed by :meth:`_append_locked`: sync what is still
+        pending, if the journal is open."""
+        with self._lock:
+            self._sync_timer = None
+            if self._handle is not None and self._unsynced:
+                self._sync_locked()
 
     def _excepthook(self, exc_type: Any, exc: BaseException, tb: Any) -> None:
         """The chained ``sys.excepthook`` (see the module doc); never
@@ -451,6 +467,9 @@ class Journal:
 
     def close(self) -> None:
         with self._lock:
+            if self._sync_timer is not None:
+                self._sync_timer.cancel()
+                self._sync_timer = None
             if self._handle is None:
                 return
             self._sync_locked()

@@ -63,13 +63,13 @@ import itertools
 import os
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..obs.journal import Journal, replay_journal
 from ..corpus import (
-    CorpusError,
     JobSpec,
     ResultCache,
     RunSummary,
@@ -397,7 +397,9 @@ class Dispatcher:
                 summary, snapshot = self._run_sharded(
                     request, emit, jobs, cache, timeout
                 )
-        except (CorpusError, OSError, ValueError) as error:
+        except Exception as error:
+            # Whatever ends the run early, bad input or a bug, the
+            # request fails: the stream's last event is always terminal.
             with self._lock:
                 request.state = "failed"
                 request.error = "%s: %s" % (type(error).__name__, error)
@@ -407,6 +409,7 @@ class Dispatcher:
                 "request_id": request.request_id,
                 "phase": "failed",
                 "row": request.row(),
+                "traceback": traceback.format_exc(),
             })
             emit(
                 event(

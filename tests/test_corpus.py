@@ -13,10 +13,10 @@ from repro.corpus import (
     JobResult,
     ResultCache,
     analyze_pair,
-    canonical_transducer_text,
     discover_jobs,
     job_cache_key,
     job_fails,
+    job_signature,
     open_cache,
     parse_manifest,
     render,
@@ -139,11 +139,20 @@ class TestCacheKey:
             protect=tuple(protect),
         )
 
-    def test_comments_and_order_do_not_invalidate(self, corpus):
+    def test_bytes_path_and_spec_make_the_key(self, corpus):
+        # The job object cites the file's lines and names its paths, so
+        # a comment, a reorder or another path must not reuse a result.
         key = job_cache_key(self._spec(corpus))
-        reordered = "\n".join(reversed(SELECT_TDX.strip().splitlines()))
-        (corpus / "select.tdx").write_text("# cosmetic change\n" + reordered + "\n")
         assert job_cache_key(self._spec(corpus)) == key
+        (corpus / "select.tdx").write_text("# cosmetic change\n" + SELECT_TDX)
+        assert job_cache_key(self._spec(corpus)) != key
+        reordered = "\n".join(reversed(SELECT_TDX.strip().splitlines()))
+        (corpus / "select.tdx").write_text(reordered + "\n")
+        assert job_cache_key(self._spec(corpus)) != key
+        (corpus / "select.tdx").write_text(SELECT_TDX)
+        assert job_cache_key(self._spec(corpus)) == key
+        (corpus / "twin.tdx").write_text(SELECT_TDX)
+        assert job_cache_key(self._spec(corpus, transducer="twin.tdx")) != key
 
     def test_semantic_edit_invalidates(self, corpus):
         key = job_cache_key(self._spec(corpus))
@@ -170,14 +179,6 @@ class TestCacheKey:
 
     def test_missing_file_is_uncacheable(self, corpus):
         assert job_cache_key(self._spec(corpus, transducer="ghost.tdx")) is None
-
-    def test_canonical_text_is_sorted(self, corpus):
-        from repro.cli import load_transducer
-
-        text = canonical_transducer_text(load_transducer(str(corpus / "select.tdx")))
-        assert text.splitlines()[0] == "initial q0"
-        rules = [line for line in text.splitlines() if line.startswith("rule")]
-        assert rules == sorted(rules)
 
 
 class TestResultCache:
@@ -256,8 +257,8 @@ class TestRunCorpus:
         jobs = discover_jobs(str(corpus))
         cache = ResultCache(str(corpus / ".repro-cache"))
         run_corpus(jobs, max_workers=2, cache=cache)
-        # Fix the bug (keep the content distinct from select.tdx — with
-        # identical content the key would rightly collide with select's).
+        # Fix the bug.  The content stays distinct from select.tdx's,
+        # though the key would not collide anyway: it holds the path.
         (corpus / "copying.tdx").write_text(
             SELECT_TDX + "rule qsel comments -> comments(q)\nrule q comment -> comment(q)\n"
         )
@@ -473,3 +474,61 @@ class TestRunRecords:
         assert {data["verdict"] for data in jobs} == {"cancelled"}
         assert [data["done"] for data in jobs] == [1, 2, 3, 4, 5, 6]
         assert summary.verdict_counts()["cancelled"] == 6
+
+
+class TestWarmEqualsFresh:
+    """A cache hit is the job object a fresh run computes: the key holds
+    every job field the object carries and the bytes of both files."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "recipes.schema").write_text(RECIPES_SCHEMA)
+        (root / "copying.tdx").write_text(COPYING_TDX)
+        return root
+
+    @staticmethod
+    def signatures(root, cache):
+        summary = run_corpus(discover_jobs(str(root)), max_workers=1, cache=cache)
+        return sorted(job_signature(result.to_dict()) for result in summary.results)
+
+    def assert_warm_equals_fresh(self, root, cache):
+        assert self.signatures(root, cache) == self.signatures(root, None)
+
+    def test_byte_identical_twin(self, root, tmp_path):
+        (root / "twin.tdx").write_text(COPYING_TDX)
+        cache = ResultCache(str(tmp_path / "cache"))
+        self.signatures(root, cache)
+        self.assert_warm_equals_fresh(root, cache)
+        assert cache.entry_count() == 2
+
+    def test_renamed_file(self, root, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        self.signatures(root, cache)
+        os.rename(str(root / "copying.tdx"), str(root / "renamed.tdx"))
+        self.assert_warm_equals_fresh(root, cache)
+
+    def test_comment_lines_move_the_cited_lines(self, root, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        self.signatures(root, cache)
+        (root / "copying.tdx").write_text("# one\n# two\n" + COPYING_TDX)
+        self.assert_warm_equals_fresh(root, cache)
+
+    def test_second_corpus_on_a_shared_cache(self, root, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        self.signatures(root, cache)
+        second = tmp_path / "second"
+        shutil.copytree(str(root), str(second))
+        self.assert_warm_equals_fresh(second, cache)
+
+    def test_protect_order(self, root, tmp_path):
+        (root / "select.tdx").write_text(SELECT_TDX)
+        (root / "manifest.txt").write_text(
+            "select.tdx recipes.schema comment description\n"
+            "select.tdx recipes.schema description comment\n"
+        )
+        cache = ResultCache(str(tmp_path / "cache"))
+        self.signatures(root, cache)
+        self.assert_warm_equals_fresh(root, cache)
+        assert cache.entry_count() == 2

@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -181,6 +182,26 @@ class TestJournalWriter:
             assert journal.lag() == 0
         finally:
             journal.close()
+
+    def test_an_idle_journal_syncs(self, tmp_path):
+        journal = Journal(str(tmp_path / "j"))
+        try:
+            for _ in range(3):
+                journal.append("meta", {})
+            time.sleep(4 * journal_module.FSYNC_INTERVAL_S)
+            assert journal.lag() == 0
+        finally:
+            journal.close()
+
+    def test_close_cancels_the_idle_sync(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_module, "FSYNC_INTERVAL_S", 3600.0)
+        journal = Journal(str(tmp_path / "j"))
+        journal.append("meta", {})
+        timer = journal._sync_timer
+        assert timer is not None and timer.is_alive()
+        journal.close()
+        timer.join(5)
+        assert not timer.is_alive()
 
     def test_health_document(self, tmp_path, monkeypatch):
         monkeypatch.setattr(journal_module, "FSYNC_INTERVAL_S", 3600.0)

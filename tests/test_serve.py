@@ -37,6 +37,7 @@ from repro.corpus import (
     validate_job_object,
 )
 from repro.corpus.manifest import shard_index
+from repro.obs.journal import Journal, read_journal
 from repro.serve import (
     BusyError,
     Dispatcher,
@@ -464,3 +465,57 @@ class TestJobObjectSchema:
         problems = validate_job_object(good)
         assert any("version" in p for p in problems)
         assert any("verdict" in p for p in problems)
+
+
+class TestEveryRequestEnds:
+    """``Dispatcher.stream`` ends every request with a terminal event,
+    whatever stops the run."""
+
+    @staticmethod
+    def stream(tmp_path, payload, journal=None):
+        dispatcher = Dispatcher(
+            jobs=1, status_file=str(tmp_path / "status.json"), journal=journal
+        )
+        loop = asyncio.new_event_loop()
+
+        async def drain(request):
+            return [line async for line in dispatcher.stream(request)]
+
+        try:
+            request = dispatcher.admit(payload)
+            events = loop.run_until_complete(asyncio.wait_for(drain(request), 20))
+        finally:
+            loop.close()
+            dispatcher.shutdown()
+        return request, events
+
+    def test_an_engine_crash_fails_the_request(self, tmp_path, corpus, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("engine crashed")
+
+        monkeypatch.setattr("repro.serve.dispatcher.run_corpus", crash)
+        with Journal(str(tmp_path / "journal")) as journal:
+            request, events = self.stream(tmp_path, {"corpus_dir": str(corpus)}, journal)
+        assert is_terminal(events[-1])
+        assert events[-1]["message"] == "request failed"
+        assert events[-1]["fields"]["error"] == "RuntimeError: engine crashed"
+        assert request.state == "failed"
+        assert request.row()["state"] == "failed"
+        [failed] = [record.data for record in read_journal(str(tmp_path / "journal"))
+                    if record.data.get("phase") == "failed"]
+        assert "in crash" in failed["traceback"]
+
+    def test_a_deeply_nested_transducer_is_one_error_job(self, tmp_path):
+        root = tmp_path / "deep"
+        root.mkdir()
+        (root / "recipes.schema").write_text(RECIPES_SCHEMA)
+        (root / "select.tdx").write_text(SELECT_TDX)
+        (root / "deep.tdx").write_text(
+            "initial q0\nrule q0 recipes -> " + "a(" * 5000 + "q0" + ")" * 5000 + "\n"
+        )
+        request, events = self.stream(tmp_path, {"corpus_dir": str(root)})
+        assert events[-1]["message"] == "request finished"
+        jobs = {job["job_id"]: job for job in request.corpus_doc["jobs"]}
+        assert jobs["deep.tdx x recipes.schema"]["verdict"] == "error"
+        assert "nested too deeply" in jobs["deep.tdx x recipes.schema"]["error"]
+        assert jobs["select.tdx x recipes.schema"]["verdict"] == "safe"
