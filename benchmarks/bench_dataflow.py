@@ -8,10 +8,12 @@ and products built — asserting that
 
 * every verdict is identical either way (the filters are sound), and
 * the gated runs do strictly less work on families built to exercise
-  each filter: full short-circuits on copy-free instances, partial
-  product pruning when only part of the state space carries text, and
-  inverse-type alphabet (sigma) restriction when the schema declares
-  labels it never generates.
+  each filter: full short-circuits on copy-free instances, and partial
+  product pruning when only part of the state space carries text.
+
+Labels the schema declares but never uses need no filter: the inverse
+type walks the schema's rules, so a padded alphabet leaves its work
+counters as they are.
 """
 
 from typing import Dict, Tuple
@@ -68,8 +70,7 @@ def pruned_copier_instance(n: int) -> Tuple[TopDownTransducer, NTA]:
 
 def padded_chain_instance(depth: int, pad: int) -> Tuple[TopDownTransducer, NTA]:
     """The chain family with ``pad`` extra labels declared in the schema
-    alphabet but never generated — exactly what the label-flow sigma
-    restriction removes from the inverse-type construction."""
+    alphabet but used by no schema rule."""
     transducer, _ = chain_instance(depth)
     labels = ["l%d" % i for i in range(1, depth + 1)]
     schema_rules: Dict[Tuple[str, str], str] = {}
@@ -158,31 +159,30 @@ class TestPrefilterWorkReduction:
         transducer, schema = pruned_copier_instance(8)
         benchmark_or_timer(lambda: is_copying(transducer, schema))
 
-    def test_typecheck_sigma_restriction(self, benchmark_or_timer):
-        """Padded alphabets: the label-flow pass restricts the
-        inverse-type sigma to generated labels, so the Theorem 5.18
-        construction builds strictly fewer vectors and products while
-        returning the same verdict."""
+    def test_typecheck_padded_alphabet(self, benchmark_or_timer):
+        """Padded alphabets: labels the schema declares but has no rule
+        for cost the inverse type nothing, since its walk over the schema
+        never visits them.  Every pad gives pad 0's verdict and work
+        counters, with the pre-filters on or off."""
         rows = []
         out = chain_output_dtd(4)
-        for pad in SIZES:
+        works = []
+        for pad in [0] + SIZES:
             transducer, schema = padded_chain_instance(4, pad)
             with prefilter_disabled():
                 verdict_off, off = counted(typechecks, transducer, schema, out)
             verdict_on, on = counted(typechecks, transducer, schema, out)
             assert verdict_on == verdict_off is True
-            assert on.get("typecheck.sigma_pruned", 0) == pad
             off_work = (off.get("typecheck.vectors", 0), off.get("typecheck.products", 0))
             on_work = (on.get("typecheck.vectors", 0), on.get("typecheck.products", 0))
-            # The padded labels all collapse to the same deleting vector,
-            # so the vector count drops strictly; the running-product set
-            # can only shrink or stay.
-            assert on_work[0] < off_work[0] and on_work[1] <= off_work[1]
-            rows.append((pad, off_work[0], on_work[0], off_work[1], on_work[1]))
+            assert on_work == off_work
+            works.append(on_work)
+            rows.append((pad,) + on_work)
+        assert works == [works[0]] * len(works)
         report(
-            "E14: inverse-type sigma restriction (padded alphabet)",
+            "E14: inverse type on padded alphabets",
             rows,
-            header=("pad", "vectors off", "on", "products off", "on"),
+            header=("pad", "vectors", "products"),
         )
         transducer, schema = padded_chain_instance(4, 8)
         benchmark_or_timer(lambda: typechecks(transducer, schema, out))

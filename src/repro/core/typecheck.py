@@ -26,15 +26,21 @@ Summaries form a monoid under hedge concatenation.  For a fixed input
 tree, the vector ``q ↦ summary(T^q(t))`` is computed bottom-up; the
 *set of reachable vectors* over all input trees is a fixpoint whose
 states are exponential in the DTD — that is the EXPTIME construction.
-The result is a deterministic unranked tree automaton over input trees;
-typechecking is the emptiness of its complement intersected with
-``Sin``.
+The result is a deterministic unranked tree automaton over input trees.
+
+Typechecking only asks about trees of ``Sin``, so the fixpoint runs
+over ``Sin``'s horizontals and reaches only the vectors and running
+products that trees of ``Sin`` reach: the inverse type *relative to*
+``Sin``.  Typechecking is the emptiness of its invalid part intersected
+with ``Sin``.  Relative to every tree over the alphabet
+(``universal_nta``), it is the classical, schema-independent inverse
+type.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 
@@ -271,22 +277,72 @@ class _Evaluator:
 
 
 class _Reached:
-    """The vectors (or running products) the fixpoint has reached, as id
-    tuples named ``(prefix, i)`` in discovery order; ``work`` holds the
-    ones not yet expanded."""
+    """The vectors (or running products) the walk has reached, as id
+    tuples named ``(prefix, i)`` in discovery order."""
 
     def __init__(self, prefix: str) -> None:
         self.prefix = prefix
         self.names: Dict[_Ids, Tuple[str, int]] = {}
-        self.work: List[_Ids] = []
 
-    def add(self, idents: _Ids) -> bool:
-        """Record ``idents``; whether it was new (then it is queued)."""
-        if idents in self.names:
-            return False
-        self.names[idents] = (self.prefix, len(self.names))
-        self.work.append(idents)
-        return True
+    def add(self, idents: _Ids) -> None:
+        if idents not in self.names:
+            self.names[idents] = (self.prefix, len(self.names))
+
+
+#: A place in a schema horizontal: (structure number, NFA state).
+_Position = Tuple[int, object]
+
+
+class _SchemaHorizontals:
+    """The input schema's horizontals, in an order the schema alone
+    fixes.
+
+    Entries are taken sorted by ``repr``.  Entries whose epsilon-free
+    horizontals are :meth:`~repro.strings.nfa.NFA.with_finals`
+    siblings share one *structure*, numbered in that order, and each
+    structure's moves are sorted by ``repr`` once; so the walk, and the
+    automaton it names, does not depend on set iteration or the hash
+    seed.  The epsilon-free forms live as long as this object, so no
+    structure key outlives its transition map (DESIGN.md A6).
+    """
+
+    def __init__(self, schema: NTA) -> None:
+        self._free: Dict[NFA, NFA] = {}
+        numbers: Dict[Tuple[int, object], int] = {}
+        #: The initial NFA state of each structure.
+        self.starts: List[object] = []
+        #: The ``(schema state, label)`` entries that accept at a place.
+        self.finishers: Dict[_Position, List[Tuple[object, str]]] = {}
+        #: The moves ``(schema state read, target)`` out of a place.
+        self.moves: Dict[_Position, List[Tuple[object, object]]] = {}
+        #: The moves ``(structure, source, target)`` reading a schema state.
+        self.readers: Dict[object, List[Tuple[int, object, object]]] = {}
+        #: The schema states that admit a text leaf.
+        self.text_states: List[object] = []
+        for state, symbol in sorted(schema.delta, key=repr):
+            horizontal = schema.delta[(state, symbol)]
+            if symbol == TEXT:
+                if horizontal.accepts_empty_word():
+                    self.text_states.append(state)
+                continue
+            free = self._free.get(horizontal)
+            if free is None:
+                free = self._free[horizontal] = horizontal.without_epsilon()
+            number = numbers.get(free.structure_key())
+            if number is None:
+                number = numbers[free.structure_key()] = len(self.starts)
+                self.starts.append(free.initial)
+                for source in sorted(free.states, key=repr):
+                    moves = sorted(
+                        ((read, target)
+                         for read, targets in free.moves(source) for target in targets),
+                        key=repr,
+                    )
+                    self.moves[(number, source)] = moves
+                    for read, target in moves:
+                        self.readers.setdefault(read, []).append((number, source, target))
+            for final in sorted(free.finals, key=repr):
+                self.finishers.setdefault((number, final), []).append((state, symbol))
 
 
 def hedge_summary(transducer: TopDownTransducer, output_dtd: DTD, t: Tree) -> Summary:
@@ -307,57 +363,95 @@ def output_valid(transducer: TopDownTransducer, output_dtd: DTD, t: Tree) -> boo
 def inverse_type_nta(
     transducer: TopDownTransducer,
     output_dtd: DTD,
-    input_alphabet: Iterable[str],
+    input_schema: NTA,
     accept_valid: bool = False,
 ) -> NTA:
-    """The inverse-type automaton: an NTA over input trees accepting
-    exactly those on which the output is *invalid* (or valid, with
-    ``accept_valid``).
+    """The inverse type relative to ``input_schema``: an NTA that, among
+    the trees of ``L(input_schema)``, accepts exactly those on which the
+    output is *invalid* (or valid, with ``accept_valid``).
 
-    States are the reachable summary vectors (exponentially many in the
-    worst case — the EXPTIME construction); horizontal languages are
-    DFAs computing the running product of child summaries.
+    States are summary vectors (exponentially many in the worst case —
+    the EXPTIME construction); horizontal languages share one DFA whose
+    states are the running products of child vectors.  One worklist
+    walks the schema's horizontals: it extends a running product only
+    by a vector that some subtree evaluates to in the schema state read
+    next, and evaluates a node's vector only where the product
+    completes a schema horizontal for its label.  Every run on a schema
+    tree stays inside what the walk builds, and what it builds is part
+    of the classical inverse type, so the intersection with the schema
+    (its emptiness, its least tree) is the classical one (DESIGN.md
+    A10).  Given ``universal_nta(alphabet)``, the walk builds the
+    classical, schema-independent type.
     """
     with obs.span("typecheck.inverse_type") as sp:
         out = _output_type(output_dtd)
         evaluator = _Evaluator(transducer, out)
-        sigma = tuple(sorted(set(input_alphabet)))
+        schema = _SchemaHorizontals(input_schema)
 
         unit_product = (evaluator.unit,) * len(evaluator.states)
         text_vector = evaluator.text_vector
 
-        # Discover reachable vectors and reachable running products with
-        # a worklist: each (product, vector) pair and each (symbol,
-        # product) pair is processed exactly once.
+        # The worklist runs over configurations (structure, place,
+        # running product) and over the vectors that schema states
+        # reach.  A configuration and a vector are paired when the later
+        # of the two is expanded, so each pair is processed exactly once.
         vectors = _Reached("v")
         products = _Reached("h")
-        vectors.add(text_vector)
         products.add(unit_product)
         transitions_h: Dict[Tuple[_Ids, _Ids], _Ids] = {}
         results: Dict[Tuple[str, _Ids], _Ids] = {}
         concat = evaluator.concat
+        reached: Dict[object, Set[_Ids]] = {}
+        expanded: Dict[object, List[_Ids]] = {}
+        expanded_at: Dict[_Position, List[_Ids]] = {}
+        configs: Set[Tuple[int, object, _Ids]] = set()
+        config_work: List[Tuple[int, object, _Ids]] = []
+        vector_work: List[Tuple[object, _Ids]] = []
 
-        def pair(product: _Ids, vector: _Ids) -> None:
+        def reach(state: object, vector: _Ids) -> None:
+            vectors.add(vector)
+            seen = reached.setdefault(state, set())
+            if vector not in seen:
+                seen.add(vector)
+                vector_work.append((state, vector))
+
+        def visit(number: int, place: object, product: _Ids) -> None:
+            config = (number, place, product)
+            if config not in configs:
+                configs.add(config)
+                config_work.append(config)
+
+        def extend(number: int, target: object, product: _Ids, vector: _Ids) -> None:
             key = (product, vector)
-            if key in transitions_h:
-                return
-            combined = transitions_h[key] = tuple(map(concat, product, vector))
-            products.add(combined)
+            combined = transitions_h.get(key)
+            if combined is None:
+                combined = transitions_h[key] = tuple(map(concat, product, vector))
+                products.add(combined)
+            visit(number, target, combined)
 
-        while products.work or vectors.work:
-            if products.work:
-                product = products.work.pop()
-                for vector in vectors.names:
-                    pair(product, vector)
-                for symbol in sigma:
+        for state in schema.text_states:
+            reach(state, text_vector)
+        for number, start in enumerate(schema.starts):
+            visit(number, start, unit_product)
+        while config_work or vector_work:
+            if config_work:
+                number, place, product = config_work.pop()
+                for state, symbol in schema.finishers.get((number, place), ()):
                     key2 = (symbol, product)
-                    if key2 not in results:
+                    vector = results.get(key2)
+                    if vector is None:
                         vector = results[key2] = evaluator.combine(symbol, product)
-                        vectors.add(vector)
+                    reach(state, vector)
+                for state, target in schema.moves[(number, place)]:
+                    for vector in expanded.get(state, ()):
+                        extend(number, target, product, vector)
+                expanded_at.setdefault((number, place), []).append(product)
             else:
-                vector = vectors.work.pop()
-                for product in list(products.names):
-                    pair(product, vector)
+                state, vector = vector_work.pop()
+                for number, source, target in schema.readers.get(state, ()):
+                    for product in expanded_at.get((number, source), ()):
+                        extend(number, target, product, vector)
+                expanded.setdefault(state, []).append(vector)
 
         vector_name = vectors.names
         product_name = products.names
@@ -373,16 +467,15 @@ def inverse_type_nta(
             product_name.values(), vector_name.values(), h_edges,
             product_name[unit_product], [],
         )
-        for symbol in sigma:
-            # Group the products by the vector they yield under `symbol`.
-            finals_of_vector: Dict[_Ids, Set[object]] = {}
-            for product, name in product_name.items():
-                vector = results[(symbol, product)]
-                finals_of_vector.setdefault(vector, set()).add(name)
-            for vector, finals in finals_of_vector.items():
-                delta[(vector_name[vector], symbol)] = base_h.with_finals(finals)
+        # Group the products by the vector they yield under each label.
+        finals_of: Dict[Tuple[_Ids, str], Set[object]] = {}
+        for (symbol, product), vector in results.items():
+            finals_of.setdefault((vector, symbol), set()).add(product_name[product])
+        for (vector, symbol), finals in finals_of.items():
+            delta[(vector_name[vector], symbol)] = base_h.with_finals(finals)
         eps_nfa = NFA([0], [], [], 0, [0])
-        delta[(vector_name[text_vector], TEXT)] = eps_nfa
+        if schema.text_states:
+            delta[(vector_name[text_vector], TEXT)] = eps_nfa
 
         # Root: a fresh initial state accepting trees whose root vector
         # is (in)valid.  The NTA needs one initial state: add q_root
@@ -393,7 +486,7 @@ def inverse_type_nta(
         ]
         from ..strings.nfa import union_nfa
 
-        for symbol in sigma:
+        for symbol in sorted(input_schema.alphabet):
             parts = [
                 delta[(vector_name[vector], symbol)]
                 for vector in root_vectors
@@ -405,10 +498,10 @@ def inverse_type_nta(
             for part in parts[1:]:
                 combined_nfa = union_nfa(combined_nfa, part)
             delta[(("root",), symbol)] = combined_nfa
-        if text_vector in root_vectors:
+        if schema.text_states and text_vector in root_vectors:
             delta[(("root",), TEXT)] = eps_nfa
         states: Set[object] = set(vector_name.values()) | {("root",)}
-        result = NTA(states, sigma, delta, ("root",))
+        result = NTA(states, input_schema.alphabet, delta, ("root",))
         sp.set("states", len(result.states))
         # The EXPTIME blow-up gauge: peak reachable-vector automaton
         # size across every inverse-type construction of the run.
@@ -442,49 +535,34 @@ def typechecks(
     prefilter: Optional["DataflowSummary"] = None,
 ) -> bool:
     """Whether ``T(t)`` is valid w.r.t. the output DTD for *every*
-    ``t ∈ L(input_schema)`` (EXPTIME in general).
+    ``t ∈ L(input_schema)`` (EXPTIME in general): the emptiness of the
+    inverse type relative to the schema, intersected with the schema.
 
-    Two sound dataflow pre-filters (see :mod:`repro.lint.dataflow`):
-
-    * **Bad-label short-circuit.**  Every label in the summary's exact
-      ``output_labels`` set is emitted on some valid input (a realizable
-      rule fires there and its rhs labels are instantiated
-      unconditionally), so any such label outside the output DTD's
-      alphabet makes the output invalid on that input: the answer is
-      definitely ``False``, no inverse type needed.
-    * **Sigma restriction.**  The inverse-type construction only needs
-      the labels that occur in *some* tree of ``L(input_schema)``
-      (``generated_labels``), not the schema's declared alphabet:
-      trees using other labels are not in the intersection anyway.
-      Note the restriction must come from the schema, not from the
-      transducer's explored configurations — configuration exploration
-      stops below deleted subtrees, but the schema may force labels
-      there.
+    A sound dataflow pre-filter (see :mod:`repro.lint.dataflow`) can
+    decide first.  Every label in the summary's exact ``output_labels``
+    set is emitted on some valid input (a realizable rule fires there
+    and its rhs labels are instantiated unconditionally), so any such
+    label outside the output DTD's alphabet makes the output invalid on
+    that input: the answer is definitely ``False``, no inverse type
+    needed.  The inverse type itself needs no label restriction: its
+    walk over the schema never visits a label without a schema rule.
     """
     from ..lint.dataflow import log_skip, resolve_prefilter
 
     summary = resolve_prefilter(transducer, input_schema, prefilter)
     with obs.span("typecheck.decide") as sp:
-        sigma: Iterable[str] = input_schema.alphabet
-        if summary is not None:
-            if summary.has_pass("label-flow"):
-                bad_labels = sorted(summary.output_labels - set(output_dtd.alphabet))
-                if bad_labels:
-                    sp.set("verdict", False)
-                    log_skip(
-                        "typechecks", "label-flow", bad_label=bad_labels[0]
-                    )
-                    obs.info("typecheck", "typecheck decided",
-                             typechecks=False, product_states=0)
-                    return False
-            restricted = set(summary.schema_generated_labels)
-            obs.add(
-                "typecheck.sigma_pruned",
-                len(set(input_schema.alphabet) - restricted),
-            )
-            sigma = restricted
+        if summary is not None and summary.has_pass("label-flow"):
+            bad_labels = sorted(summary.output_labels - set(output_dtd.alphabet))
+            if bad_labels:
+                sp.set("verdict", False)
+                log_skip(
+                    "typechecks", "label-flow", bad_label=bad_labels[0]
+                )
+                obs.info("typecheck", "typecheck decided",
+                         typechecks=False, product_states=0)
+                return False
         bad = inverse_type_nta(
-            transducer, output_dtd, sigma, accept_valid=False
+            transducer, output_dtd, input_schema, accept_valid=False
         )
         with obs.span("typecheck.emptiness") as inner:
             product = intersect_nta(bad, input_schema)
@@ -503,6 +581,6 @@ def typecheck_counter_example(
     ``None`` when the transducer typechecks."""
     with obs.span("typecheck.counter_example"):
         bad = inverse_type_nta(
-            transducer, output_dtd, input_schema.alphabet, accept_valid=False
+            transducer, output_dtd, input_schema, accept_valid=False
         )
         return intersect_nta(bad, input_schema).witness()

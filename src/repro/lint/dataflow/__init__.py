@@ -19,10 +19,9 @@ The resulting :class:`DataflowSummary` powers the TP5xx lint family
 (:mod:`repro.lint.rules_flow`) and serves as a *sound pre-filter* for
 the expensive decision procedures: ``copy_free``/``order_safe`` prove
 text preservation without the Theorem 4.11 product automata, and the
-exact ``output_labels``/``schema_generated_labels`` sets shrink (or
-decide) the Theorem 5.18 inverse-type construction.  Pre-filters never
-change verdicts — see :func:`prefilter_disabled` and the soundness
-note in DESIGN.md.
+exact ``output_labels`` set can decide the §6 typecheck before its
+inverse-type construction.  Pre-filters never change verdicts — see
+:func:`prefilter_disabled` and the soundness note in DESIGN.md.
 """
 
 from .config import (

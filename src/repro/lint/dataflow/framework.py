@@ -173,7 +173,6 @@ class SummaryBuilder:
     schema_reachable_states: Set[str] = field(default_factory=set)
     unreachable_under_schema: Set[str] = field(default_factory=set)
     uncovered_root_labels: Set[str] = field(default_factory=set)
-    schema_generated_labels: FrozenSet[str] = frozenset()
     # copy-degree
     text_productive: Set[str] = field(default_factory=set)
     copy_degree: Dict[Rule, int] = field(default_factory=dict)
@@ -232,7 +231,6 @@ class DataflowSummary:
     schema_reachable_states: FrozenSet[str]
     unreachable_under_schema: FrozenSet[str]
     uncovered_root_labels: FrozenSet[str]
-    schema_generated_labels: FrozenSet[str]
     # -- copy-degree (over-approximation; saturated at 2 == omega) ------
     text_productive: FrozenSet[str]
     copy_degree: Mapping[Rule, int]
@@ -378,7 +376,6 @@ def run_passes(
         schema_reachable_states=frozenset(builder.schema_reachable_states),
         unreachable_under_schema=frozenset(builder.unreachable_under_schema),
         uncovered_root_labels=frozenset(builder.uncovered_root_labels),
-        schema_generated_labels=builder.schema_generated_labels,
         text_productive=frozenset(builder.text_productive),
         copy_degree=dict(builder.copy_degree),
         amplifying_rules=dict(builder.amplifying_rules),

@@ -107,7 +107,6 @@ def _run_reachability(graph: RuleGraph, builder: SummaryBuilder) -> PassStats:
         for label in labels_of.get(nta.initial, ())
         if label != TEXT and (transducer.initial, label) not in transducer.rules
     }
-    builder.schema_generated_labels = nta.generated_labels()
     facts = (
         len(builder.realizable)
         + len(builder.uncovered)

@@ -57,14 +57,16 @@ class DTD:
         self._models: Dict[str, NFA] = {}
         self._sources: Dict[str, str] = {}
         for label, model in content.items():
+            # Only a model passed as a Regex is rendered: str() recurses
+            # through the AST, and a source text is kept as it was given.
             if isinstance(model, str):
                 self._sources[label] = model
-                model = parse_regex(model)
-            if isinstance(model, Regex):
-                self._sources.setdefault(label, str(model))
+                nfa = parse_regex(model).to_nfa()
+            elif isinstance(model, Regex):
+                self._sources[label] = str(model)
                 nfa = model.to_nfa()
             elif isinstance(model, NFA):
-                self._sources.setdefault(label, "<nfa>")
+                self._sources[label] = "<nfa>"
                 nfa = model
             else:
                 raise TypeError("unsupported content model for %r: %r" % (label, model))

@@ -13,6 +13,7 @@ inputs and say so.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Callable,
@@ -265,32 +266,45 @@ class NFA:
     def shortest_word(
         self, allowed_symbols: Optional[AbstractSet[Symbol]] = None
     ) -> Optional[Tuple[Symbol, ...]]:
-        """A shortest accepted word (over ``allowed_symbols`` if given),
+        """The least accepted word (over ``allowed_symbols`` if given),
         or ``None`` when the (restricted) language is empty.
 
-        Used to extract concrete counter-example paths from the
-        decision procedures.
+        Words are ordered by length, then by their symbols left to right
+        compared by ``repr``; so the word depends on the automaton
+        alone, not on set iteration order or the hash seed.  Used to
+        extract concrete counter-example paths from the decision
+        procedures.
         """
-        # BFS over epsilon-closed state sets would be exponential; BFS over
-        # single states with epsilon closure on expansion is enough for a
-        # witness since acceptance is existential.
-        start_states = self.epsilon_closure([self.initial])
-        queue: List[Tuple[State, Tuple[Symbol, ...]]] = [(s, ()) for s in start_states]
-        seen: Set[State] = set(start_states)
-        index = 0
-        while index < len(queue):
-            state, word = queue[index]
-            index += 1
-            if state in self.finals:
-                return word
-            for symbol in self.symbols_from(state):
-                if allowed_symbols is not None and symbol not in allowed_symbols:
-                    continue
-                for target in self.step(state, symbol):
-                    for closed in self.epsilon_closure([target]):
-                        if closed not in seen:
-                            seen.add(closed)
-                            queue.append((closed, word + (symbol,)))
+        # Breadth-first by length over single states, with epsilon
+        # closure on expansion.  Every state of a layer keeps the least
+        # word of that length reaching it.  A new state takes the least
+        # candidate over the whole layer, since two states of a layer
+        # can carry the same word.
+        layer: Dict[State, Tuple[Tuple[str, ...], Tuple[Symbol, ...]]] = {
+            state: ((), ()) for state in self.epsilon_closure([self.initial])
+        }
+        seen: Set[State] = set(layer)
+        while layer:
+            accepted = [entry for state, entry in layer.items() if state in self.finals]
+            if accepted:
+                return min(accepted, key=itemgetter(0))[1]
+            following: Dict[State, Tuple[Tuple[str, ...], Tuple[Symbol, ...]]] = {}
+            for state, (key, word) in layer.items():
+                for symbol, targets in self.moves(state):
+                    if symbol is EPSILON or (
+                        allowed_symbols is not None and symbol not in allowed_symbols
+                    ):
+                        continue
+                    candidate = key + (repr(symbol),)
+                    for target in targets:
+                        for closed in self.epsilon_closure([target]):
+                            if closed in seen:
+                                continue
+                            best = following.get(closed)
+                            if best is None or candidate < best[0]:
+                                following[closed] = (candidate, word + (symbol,))
+            seen.update(following)
+            layer = following
         return None
 
     def accepts_product(self, symbol_sets: Sequence[AbstractSet[Symbol]]) -> bool:

@@ -320,6 +320,50 @@ class TestCanonicalCounterExamples:
         assert outputs[1:] == [outputs[0]] * 3
 
 
+#: Prints the TP301 copying path and the TP401 path below <comment> of
+#: the four example corpus pairs, one line per pair.
+_SEEDED_PATHS = """
+import sys
+from repro.core.safety import protected_violation_path
+from repro.core.topdown_analysis import copying_witness_path
+from repro.formats import load_schema, load_transducer
+from repro.schema import dtd_to_nta
+corpus = sys.argv[1]
+schema = dtd_to_nta(load_schema(corpus + "/recipes.schema"))
+for name in ("select", "identity", "duplicate", "swap_comments"):
+    transducer = load_transducer("%s/%s.tdx" % (corpus, name))
+    print(name, copying_witness_path(transducer, schema),
+          protected_violation_path(transducer, schema, "comment"))
+"""
+
+
+class TestCanonicalWitnessPaths:
+    def test_paths_do_not_depend_on_the_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        corpus = os.path.join(os.path.dirname(src), "examples", "files", "corpus")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _SEEDED_PATHS, corpus],
+                env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for seed in (1, 2)
+        ]
+        try:
+            outputs = [run.communicate(timeout=600)[0] for run in runs]
+        finally:
+            for run in runs:
+                run.kill()
+        assert [run.returncode for run in runs] == [0, 0]
+        # The least paths: "description" before "instructions", and
+        # "negative" before "positive".
+        assert "duplicate ('recipes', 'recipe', 'description', 'text')" in outputs[0]
+        assert "'comments', 'negative', 'comment', 'text')" in outputs[0]
+        assert outputs[1] == outputs[0]
+
+
 class TestOracleAgreement:
     """The decision procedures agree with brute force on small instances."""
 

@@ -4,10 +4,16 @@ Every static verdict is cross-validated against brute force: run the
 transducer on enumerated inputs and validate the output directly.
 """
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import obs
-from repro.automata import TEXT, intersect_nta, nta_from_rules
+from repro.automata import TEXT, intersect_nta, nta_from_rules, universal_nta
 from repro.automata.enumerate import enumerate_trees
 from repro.core import TopDownTransducer
 from repro.core import typecheck
@@ -21,6 +27,7 @@ from repro.core.typecheck import (
 )
 from repro.paper import example23_dtd, example42_transducer, figure1_tree
 from repro.schema import DTD, dtd_to_nta
+from repro.workloads.families import random_schema, random_topdown
 
 
 def figure2_dtd() -> DTD:
@@ -55,6 +62,9 @@ def wrong_output_dtd() -> DTD:
 
 
 RECIPES = dtd_to_nta(example23_dtd())
+#: Every tree over the recipes labels: relative to it, the inverse type
+#: is the classical, schema-independent one.
+UNIVERSE = universal_nta(RECIPES.alphabet)
 
 
 def brute_valid(transducer, out_dtd, t):
@@ -157,8 +167,8 @@ class TestStaticTypechecking:
     def test_inverse_type_automaton_partitions(self):
         transducer = example42_transducer()
         out = figure2_dtd()
-        bad = inverse_type_nta(transducer, out, RECIPES.alphabet, accept_valid=False)
-        good = inverse_type_nta(transducer, out, RECIPES.alphabet, accept_valid=True)
+        bad = inverse_type_nta(transducer, out, UNIVERSE, accept_valid=False)
+        good = inverse_type_nta(transducer, out, UNIVERSE, accept_valid=True)
         for t in enumerate_trees(RECIPES, 9, max_count=60):
             assert bad.accepts(t) != good.accepts(t), t
             assert good.accepts(t) == brute_valid(transducer, out, t), t
@@ -189,7 +199,7 @@ class TestOutputTypeCache:
 @pytest.fixture(scope="module")
 def example42_bad():
     return inverse_type_nta(
-        example42_transducer(), figure2_dtd(), RECIPES.alphabet, accept_valid=False
+        example42_transducer(), figure2_dtd(), UNIVERSE, accept_valid=False
     )
 
 
@@ -244,7 +254,7 @@ class TestInternedSummaryMonoid:
 
         monkeypatch.setattr(typecheck, "_concat", counting)
         inverse_type_nta(
-            example42_transducer(), figure2_dtd(), RECIPES.alphabet, accept_valid=False
+            example42_transducer(), figure2_dtd(), UNIVERSE, accept_valid=False
         )
         # 237 distinct operand pairs (29 distinct summaries); evaluated
         # without the memo, the fixpoint calls _concat 85,050 times.
@@ -253,7 +263,101 @@ class TestInternedSummaryMonoid:
     def test_reachable_vectors_and_products(self):
         with obs.recording() as recorder:
             inverse_type_nta(
-                example42_transducer(), figure2_dtd(), RECIPES.alphabet, accept_valid=False
+                example42_transducer(), figure2_dtd(), UNIVERSE, accept_valid=False
             )
         assert recorder.counters["typecheck.vectors"] == 19
         assert recorder.counters["typecheck.products"] == 1215
+
+
+#: The small typecheck instances of the benchmark's exptime workload,
+#: restated: random_topdown x random_schema over three labels, and a
+#: random output DTD over every label the transducer can emit.
+_LABELS = ("a", "b", "c")
+_SHAPES = ("(%s + %s + text)*", "(%s + text)*", "%s* . text*", "text*", "(%s + %s)*")
+
+
+def random_typecheck_instance(seed):
+    rng = random.Random(seed)
+    transducer = random_topdown(rng, _LABELS, 3)
+    schema = random_schema(rng, _LABELS, 3)
+    labels = sorted(set(_LABELS) | set(transducer.alphabet))
+    content = {}
+    for label in labels:
+        first, second = rng.sample(labels, 2)
+        shape = rng.choice(_SHAPES)
+        content[label] = shape % (first, second)[: shape.count("%s")]
+    return transducer, schema, DTD(content=content, start=set(labels))
+
+
+def inverse_type_work(transducer, out, schema):
+    """The inverse type relative to ``schema`` and its (vectors,
+    products) counters."""
+    with obs.recording() as recorder:
+        automaton = inverse_type_nta(transducer, out, schema)
+    counters = recorder.counters
+    return automaton, (counters.get("typecheck.vectors", 0), counters["typecheck.products"])
+
+
+#: Prints the counts and every transition of Example 4.2's inverse type
+#: relative to the recipes schema (against Figure 2), in their order.
+_SEEDED_INVERSE_TYPE = """
+from repro.paper import example42_transducer
+from tests.test_core_typecheck import RECIPES, figure2_dtd, inverse_type_work
+bad, work = inverse_type_work(example42_transducer(), figure2_dtd(), RECIPES)
+print(work)
+for (state, symbol), horizontal in bad.delta.items():
+    print(state, symbol, horizontal.initial, sorted(horizontal.finals),
+          list(horizontal.transitions()))
+"""
+
+
+class TestRelativeToTheInputSchema:
+    """The inverse type relative to the input schema against the
+    classical one, which is the inverse type relative to every tree over
+    the alphabet: the same intersection with the schema, from less of
+    the automaton."""
+
+    def test_same_verdict_and_witness_as_the_classical_type(self):
+        failing = 0
+        for seed in range(48):
+            transducer, schema, out = random_typecheck_instance(seed)
+            _guided, guided_work = inverse_type_work(transducer, out, schema)
+            classical, classical_work = inverse_type_work(
+                transducer, out, universal_nta(schema.alphabet)
+            )
+            product = intersect_nta(classical, schema)
+            verdict = typechecks(transducer, schema, out)
+            assert verdict == product.is_empty(), seed
+            witness = typecheck_counter_example(transducer, schema, out)
+            assert witness == product.witness(), seed
+            assert guided_work[0] <= classical_work[0], seed
+            assert guided_work[1] <= classical_work[1], seed
+            failing += not verdict
+        assert 0 < failing < 48
+
+    def test_example42_counts(self):
+        _bad, work = inverse_type_work(example42_transducer(), figure2_dtd(), RECIPES)
+        # 8 of the classical type's 19 vectors, 11 of its 1,215 products.
+        assert work == (8, 11)
+
+    def test_same_automaton_under_every_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        root = os.path.dirname(src)
+        path = os.pathsep.join(filter(None, [src, root, os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _SEEDED_INVERSE_TYPE],
+                env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for seed in range(3)
+        ]
+        try:
+            outputs = [run.communicate(timeout=600)[0] for run in runs]
+        finally:
+            for run in runs:
+                run.kill()
+        assert [run.returncode for run in runs] == [0, 0, 0]
+        assert outputs[0].splitlines()[0] == "(8, 11)"
+        assert outputs[1:] == [outputs[0]] * 2

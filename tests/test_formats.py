@@ -133,6 +133,14 @@ class TestDeepNesting:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: %s" % deep)
 
+    def test_a_long_flat_sequence_loads(self, tmp_path, capsys):
+        # 350 items in one sequence are one level deep: the schema loads
+        # and `check` gives a verdict.
+        flat = tmp_path / "flat.schema"
+        flat.write_text("start r\nr -> " + " . ".join(["a"] * 350) + "\na -> text\n")
+        assert main(["check", os.path.join(EXAMPLES, "select.tdx"), str(flat)]) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
     def test_batch_reports_one_error_job(self, tmp_path, capsys):
         import json
 

@@ -116,6 +116,20 @@ class TestEmptinessAndWitness:
         nfa = NFA({0, 1, 2}, {"a", "b"}, [(0, "a", 1), (1, "b", 2)], 0, {2})
         assert nfa.shortest_word() == ("a", "b")
 
+    def test_least_of_the_shortest_words(self):
+        # States 1 and 2 share the word "a"; expanding 1 first would
+        # reach 3 by "a c", but the least word of length 2 is "a b".
+        nfa = NFA(
+            {0, 1, 2, 3, 4}, {"a", "b", "c"},
+            [(0, "a", 1), (0, "a", 2), (1, "c", 3), (2, "b", 3), (3, "a", 4), (0, "c", 4)],
+            0, {3},
+        )
+        assert nfa.shortest_word() == ("a", "b")
+        assert nfa.shortest_word({"a", "c"}) == ("a", "c")
+        # A shorter word wins over a smaller one; the least final wins.
+        assert nfa.with_finals({3, 4}).shortest_word() == ("c",)
+        assert nfa.with_finals({1, 2}).shortest_word() == ("a",)
+
     def test_accepts_some_over(self):
         nfa = ab_star()
         assert nfa.accepts_some_over({"a", "b"})
@@ -326,7 +340,7 @@ class TestPairNfa:
         from repro.automata import intersect_nta
         from repro.core.typecheck import inverse_type_nta
         from repro.paper import example42_transducer
-        from tests.test_core_typecheck import RECIPES, figure2_dtd
+        from tests.test_core_typecheck import RECIPES, UNIVERSE, figure2_dtd
 
         operands = []
 
@@ -335,7 +349,7 @@ class TestPairNfa:
             return pair_nfa(left, right)
 
         monkeypatch.setattr(nta_module, "pair_nfa", recording)
-        bad = inverse_type_nta(example42_transducer(), figure2_dtd(), RECIPES.alphabet)
+        bad = inverse_type_nta(example42_transducer(), figure2_dtd(), UNIVERSE)
         intersect_nta(bad, RECIPES)
         assert operands
         for left, right in operands:
